@@ -18,8 +18,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -75,8 +77,9 @@ struct ExperimentConfig {
     p.add("out-dir", "directory for bench artifacts", &out_dir);
   }
 
-  /// Reconciles --seed/--seeds and validates --mode. Exits loudly on a
-  /// bad mode name (parse() already exited on unknown flags).
+  /// Reconciles --seed/--seeds, validates --mode and creates --out-dir.
+  /// Exits loudly on a bad mode name or an uncreatable directory, before
+  /// any trial runs (parse() already exited on unknown flags).
   void finish() {
     if (seeds.empty()) {
       seeds = {seed};
@@ -87,6 +90,13 @@ struct ExperimentConfig {
       std::fprintf(stderr, "error: unknown --mode '%s' (expected "
                    "fullmesh|tbrr|abrr|dual)\n", mode.c_str());
       std::exit(2);
+    }
+    std::error_code ec;
+    std::filesystem::create_directories(out_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "error: cannot create --out-dir '%s': %s\n",
+                   out_dir.c_str(), ec.message().c_str());
+      std::exit(1);
     }
   }
 

@@ -3,11 +3,13 @@
 // prefix-trie longest match, scheduler throughput, SPF, and a small
 // end-to-end convergence run.
 //
-// Benchmarks measuring an optimized path have a `_Legacy` twin running
-// the pre-optimization strategy (value-semantics elimination, uncached
-// hashing, map-backed RIB storage) so a single run quantifies each
-// speedup. Pass --json_out=PATH to also write a machine-readable report
-// with the computed fast-vs-legacy ratios (see bench/run_bench.sh).
+// Some benchmarks measuring an optimized path have a `_Legacy` twin
+// running the pre-optimization strategy (value-semantics elimination,
+// uncached hashing, node-based allocation, trie lookup) so a single run
+// quantifies each speedup. Twins whose legacy path no longer exists in
+// the program are retired; their last ratios are frozen in
+// EXPERIMENTS.md. Pass --json_out=PATH to also write a machine-readable
+// report with the computed fast-vs-legacy ratios (see bench/run_bench.sh).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "bgp/attrs_intern.h"
 #include "bgp/decision.h"
 #include "bgp/flat_lpm.h"
 #include "bgp/prefix_trie.h"
@@ -160,15 +161,13 @@ BENCHMARK(BM_BestAsLevel_Legacy)->Arg(10)->Arg(30)->Arg(100);
 // The speaker's real Adj-RIB-In access pattern: many prefixes with a
 // handful of paths each, and every announce/withdraw followed by a
 // routes_for() read when the decision pipeline re-runs the prefix.
-void run_adj_rib_in(benchmark::State& state, bool dense) {
+void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
   constexpr std::size_t kPrefixes = 256;
   constexpr std::size_t kPathsPerPrefix = 4;
-  std::vector<Ipv4Prefix> prefixes;
   std::vector<Route> routes;
   for (std::size_t p = 0; p < kPrefixes; ++p) {
     const Ipv4Prefix pfx{
         static_cast<bgp::Ipv4Addr>(0x0A000000u + (p << 8)), 24};
-    prefixes.push_back(pfx);
     for (std::size_t i = 0; i < kPathsPerPrefix; ++i) {
       RouteBuilder b{pfx};
       b.path_id(static_cast<bgp::PathId>(i + 1))
@@ -181,23 +180,12 @@ void run_adj_rib_in(benchmark::State& state, bool dense) {
     }
   }
   bgp::AdjRibIn rib;
-  if (dense) {
-    auto index = std::make_shared<bgp::PrefixIndex>();
-    for (const auto& pfx : prefixes) index->add(pfx);
-    rib.set_prefix_index(std::move(index));
-  }
   std::vector<const Route*> scratch;
   for (auto _ : state) {
     for (const auto& r : routes) {
       rib.announce(r);
-      if (dense) {
-        rib.routes_for(r.prefix, scratch);
-        benchmark::DoNotOptimize(scratch.data());
-      } else {
-        // Pre-overhaul read path: materialize a fresh copy per lookup.
-        auto copy = rib.routes_for(r.prefix);
-        benchmark::DoNotOptimize(copy.data());
-      }
+      rib.routes_for(r.prefix, scratch);
+      benchmark::DoNotOptimize(scratch.data());
     }
     for (const auto& r : routes) {
       rib.withdraw(r.learned_from, r.prefix, r.path_id);
@@ -207,16 +195,7 @@ void run_adj_rib_in(benchmark::State& state, bool dense) {
                           static_cast<std::int64_t>(2 * routes.size()));
 }
 
-void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
-  run_adj_rib_in(state, /*dense=*/true);
-}
 BENCHMARK(BM_AdjRibInAnnounceWithdraw);
-
-void BM_AdjRibInAnnounceWithdraw_Legacy(benchmark::State& state) {
-  bgp::ScopedInterningDisabled no_intern;
-  run_adj_rib_in(state, /*dense=*/false);
-}
-BENCHMARK(BM_AdjRibInAnnounceWithdraw_Legacy);
 
 // Shared random table for the LPM benchmarks below: `n` prefixes drawn
 // with the same generator the trie bench has always used, so the
@@ -477,9 +456,7 @@ BENCHMARK(BM_WireSize)->Arg(1)->Arg(10)->Arg(100);
 
 // ---------------------------------------------------------------------
 // End-to-end: a small TBRR deployment converging on an initial snapshot
-// (testbed construction + paced injection + run to quiescence). The
-// legacy twin runs the identical scenario on the map-fallback storage
-// with attribute interning off.
+// (testbed construction + paced injection + run to quiescence).
 // ---------------------------------------------------------------------
 struct ConvergenceScenario {
   topo::Topology topology;
@@ -508,10 +485,9 @@ const ConvergenceScenario& convergence_scenario() {
   return *scenario;
 }
 
-void run_convergence(benchmark::State& state, bool fast) {
+void BM_TestbedConvergence(benchmark::State& state) {
   const ConvergenceScenario& s = convergence_scenario();
-  auto options = bench::paper_options(ibgp::IbgpMode::kTbrr, 4, 42);
-  options.use_prefix_index = fast;
+  const auto options = bench::paper_options(ibgp::IbgpMode::kTbrr, 4, 42);
   for (auto _ : state) {
     harness::Testbed bed{s.topology, options, s.prefixes};
     const bool converged = bench::load_snapshot(bed, s.workload, 5.0);
@@ -520,16 +496,7 @@ void run_convergence(benchmark::State& state, bool fast) {
   }
 }
 
-void BM_TestbedConvergence(benchmark::State& state) {
-  run_convergence(state, /*fast=*/true);
-}
 BENCHMARK(BM_TestbedConvergence)->Unit(benchmark::kMillisecond);
-
-void BM_TestbedConvergence_Legacy(benchmark::State& state) {
-  bgp::ScopedInterningDisabled no_intern;
-  run_convergence(state, /*fast=*/false);
-}
-BENCHMARK(BM_TestbedConvergence_Legacy)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // JSON reporting: console output stays the default; --json_out=PATH

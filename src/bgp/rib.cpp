@@ -17,57 +17,9 @@ struct KeyLess {
 
 // --- AdjRibIn ---------------------------------------------------------
 
-void AdjRibIn::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
-  index_ = std::move(index);
-  if (!index_) return;
-  if (flat_.size() < index_->size()) flat_.resize(index_->size());
-  // Migrate entries that are now indexable out of the fallback map.
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto id = index_->id_of(it->first);
-    if (id) {
-      flat_[*id] = std::move(it->second);
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-const AdjRibIn::PathList* AdjRibIn::find_list(const Ipv4Prefix& prefix) const {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || flat_[*id].empty()) return nullptr;
-      return &flat_[*id];
-    }
-  }
-  const auto it = table_.find(prefix);
-  if (it == table_.end() || it->second.empty()) return nullptr;
-  return &it->second;
-}
-
-AdjRibIn::PathList& AdjRibIn::ensure_list(const Ipv4Prefix& prefix) {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size()) flat_.resize(index_->size());
-      return flat_[*id];
-    }
-  }
-  return table_[prefix];
-}
-
-void AdjRibIn::erase_if_empty(const Ipv4Prefix& prefix) {
-  // Flat slots keep their (empty) vector; only the fallback map sheds
-  // nodes, matching the old per-prefix erase.
-  if (index_ && index_->id_of(prefix)) return;
-  const auto it = table_.find(prefix);
-  if (it != table_.end() && it->second.empty()) table_.erase(it);
-}
-
 AdjRibIn::Change AdjRibIn::announce(const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  PathList& paths = ensure_list(route.prefix);
+  PathList& paths = grow_slot(*index_, flat_, route.prefix);
   const Key key{route.learned_from, route.path_id};
   const auto it =
       std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
@@ -86,73 +38,56 @@ AdjRibIn::Change AdjRibIn::announce(const Route& route) {
 
 bool AdjRibIn::withdraw(RouterId peer, const Ipv4Prefix& prefix,
                         PathId path_id) {
-  PathList& paths = ensure_list(prefix);
+  PathList* paths = find_slot(*index_, flat_, prefix);
+  if (paths == nullptr) return false;
   const Key key{peer, path_id};
   const auto it =
-      std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
-  if (it == paths.end() || key_of(*it) != key) {
-    erase_if_empty(prefix);
-    return false;
-  }
-  paths.erase(it);
+      std::lower_bound(paths->begin(), paths->end(), key, KeyLess{});
+  if (it == paths->end() || key_of(*it) != key) return false;
+  paths->erase(it);
   --size_;
   --per_peer_[peer];
-  erase_if_empty(prefix);
   return true;
 }
 
 std::size_t AdjRibIn::withdraw_prefix(RouterId peer, const Ipv4Prefix& prefix) {
-  PathList& paths = ensure_list(prefix);
-  const std::size_t before = paths.size();
-  std::erase_if(paths, [&](const Route& entry) {
-    return entry.learned_from == peer;
-  });
-  const std::size_t removed = before - paths.size();
+  PathList* paths = find_slot(*index_, flat_, prefix);
+  if (paths == nullptr) return 0;
+  const std::size_t removed = std::erase_if(
+      *paths, [&](const Route& entry) { return entry.learned_from == peer; });
   size_ -= removed;
   per_peer_[peer] -= removed;
-  erase_if_empty(prefix);
   return removed;
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
   std::vector<Ipv4Prefix> affected;
-  const auto purge = [&](const Ipv4Prefix& prefix, PathList& paths) {
-    const std::size_t before = paths.size();
-    std::erase_if(paths, [&](const Route& entry) {
-      return entry.learned_from == peer;
-    });
-    if (paths.size() != before) {
-      affected.push_back(prefix);
-      size_ -= before - paths.size();
-    }
-  };
   for (std::size_t id = 0; id < flat_.size(); ++id) {
-    if (!flat_[id].empty()) purge(index_->prefix_of(id), flat_[id]);
-  }
-  for (auto it = table_.begin(); it != table_.end();) {
-    purge(it->first, it->second);
-    it = it->second.empty() ? table_.erase(it) : std::next(it);
+    const std::size_t removed = std::erase_if(
+        flat_[id],
+        [&](const Route& entry) { return entry.learned_from == peer; });
+    if (removed != 0) {
+      affected.push_back(index_->prefix_of(static_cast<std::uint32_t>(id)));
+      size_ -= removed;
+    }
   }
   per_peer_.erase(peer);
-  // Sorted so downstream re-decisions run in a storage-independent
+  // Sorted so downstream re-decisions run in an id-order-independent
   // (and deterministic) order.
   std::sort(affected.begin(), affected.end());
   return affected;
 }
 
 std::vector<Route> AdjRibIn::routes_for(const Ipv4Prefix& prefix) const {
-  std::vector<Route> out;
-  const PathList* paths = find_list(prefix);
-  if (paths == nullptr) return out;
-  out.reserve(paths->size());
-  out.assign(paths->begin(), paths->end());
-  return out;
+  const PathList* paths = find_slot(*index_, flat_, prefix);
+  if (paths == nullptr) return {};
+  return *paths;
 }
 
 void AdjRibIn::routes_for(const Ipv4Prefix& prefix,
                           std::vector<const Route*>& out) const {
   out.clear();
-  const PathList* paths = find_list(prefix);
+  const PathList* paths = find_slot(*index_, flat_, prefix);
   if (paths == nullptr) return;
   out.reserve(paths->size());
   for (const Route& route : *paths) out.push_back(&route);
@@ -167,121 +102,57 @@ void AdjRibIn::for_each(const std::function<void(const Route&)>& fn) const {
   for (const PathList& paths : flat_) {
     for (const Route& route : paths) fn(route);
   }
-  for (const auto& [prefix, paths] : table_) {
-    for (const Route& route : paths) fn(route);
-  }
 }
 
 void AdjRibIn::clear() {
   for (PathList& paths : flat_) paths.clear();
-  table_.clear();
   per_peer_.clear();
   size_ = 0;
 }
 
 // --- LocRib -----------------------------------------------------------
 
-void LocRib::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
-  index_ = std::move(index);
-  if (!index_) return;
-  if (flat_.size() < index_->size()) flat_.resize(index_->size());
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto id = index_->id_of(it->first);
-    if (id) {
-      flat_[*id] = std::move(it->second);
-      ++flat_count_;
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 bool LocRib::install(const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"install: invalid route"};
-  if (index_) {
-    const auto id = index_->id_of(route.prefix);
-    if (id) {
-      if (*id >= flat_.size()) flat_.resize(index_->size());
-      Route& slot = flat_[*id];
-      if (!slot.valid()) {
-        slot = route;
-        ++flat_count_;
-        return true;
-      }
-      if (slot.same_announcement(route) &&
-          slot.learned_from == route.learned_from && slot.via == route.via) {
-        return false;
-      }
-      slot = route;
-      return true;
-    }
+  Route& slot = grow_slot(*index_, flat_, route.prefix);
+  if (!slot.valid()) {
+    slot = route;
+    ++count_;
+    return true;
   }
-  auto [it, inserted] = table_.emplace(route.prefix, route);
-  if (inserted) return true;
-  if (it->second.same_announcement(route) &&
-      it->second.learned_from == route.learned_from &&
-      it->second.via == route.via) {
+  if (slot.same_announcement(route) &&
+      slot.learned_from == route.learned_from && slot.via == route.via) {
     return false;
   }
-  it->second = route;
+  slot = route;
   return true;
 }
 
 bool LocRib::remove(const Ipv4Prefix& prefix) {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || !flat_[*id].valid()) return false;
-      flat_[*id] = Route{};
-      --flat_count_;
-      return true;
-    }
-  }
-  return table_.erase(prefix) > 0;
+  Route* slot = find_slot(*index_, flat_, prefix);
+  if (slot == nullptr || !slot->valid()) return false;
+  *slot = Route{};
+  --count_;
+  return true;
 }
 
 const Route* LocRib::best(const Ipv4Prefix& prefix) const {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || !flat_[*id].valid()) return nullptr;
-      return &flat_[*id];
-    }
-  }
-  const auto it = table_.find(prefix);
-  return it == table_.end() ? nullptr : &it->second;
+  const Route* slot = find_slot(*index_, flat_, prefix);
+  return slot != nullptr && slot->valid() ? slot : nullptr;
 }
 
 void LocRib::for_each(const std::function<void(const Route&)>& fn) const {
   for (const Route& route : flat_) {
     if (route.valid()) fn(route);
   }
-  for (const auto& [prefix, route] : table_) fn(route);
 }
 
 void LocRib::clear() {
   for (Route& route : flat_) route = Route{};
-  flat_count_ = 0;
-  table_.clear();
+  count_ = 0;
 }
 
 // --- AdjRibOut --------------------------------------------------------
-
-void AdjRibOut::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
-  index_ = std::move(index);
-  if (!index_) return;
-  if (flat_.size() < index_->size()) flat_.resize(index_->size());
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto id = index_->id_of(it->first);
-    if (id) {
-      flat_[*id] = std::move(it->second);
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
 
 namespace {
 
@@ -303,21 +174,11 @@ std::optional<UpdateMessage> AdjRibOut::set(const Ipv4Prefix& prefix,
     return a.path_id < b.path_id;
   });
 
-  std::vector<Route>* slot = nullptr;
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size()) flat_.resize(index_->size());
-      slot = &flat_[*id];
-    }
-  }
-  const std::vector<Route>* old = nullptr;
-  if (slot != nullptr) {
-    old = slot->empty() ? nullptr : slot;
-  } else {
-    const auto it = table_.find(prefix);
-    old = it == table_.end() ? nullptr : &it->second;
-  }
+  std::vector<Route>* slot = routes.empty()
+                                 ? find_slot(*index_, flat_, prefix)
+                                 : &grow_slot(*index_, flat_, prefix);
+  const std::vector<Route>* old =
+      slot != nullptr && !slot->empty() ? slot : nullptr;
   if (old == nullptr && routes.empty()) return std::nullopt;
   if (old != nullptr && same_route_set(*old, routes)) return std::nullopt;
 
@@ -350,31 +211,17 @@ std::optional<UpdateMessage> AdjRibOut::set(const Ipv4Prefix& prefix,
   // Commit.
   if (old != nullptr) size_ -= old->size();
   size_ += routes.size();
-  if (slot != nullptr) {
-    *slot = std::move(routes);
-  } else if (routes.empty()) {
-    table_.erase(prefix);
-  } else {
-    table_[prefix] = std::move(routes);
-  }
+  *slot = std::move(routes);
   return msg;
 }
 
 const std::vector<Route>* AdjRibOut::get(const Ipv4Prefix& prefix) const {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || flat_[*id].empty()) return nullptr;
-      return &flat_[*id];
-    }
-  }
-  const auto it = table_.find(prefix);
-  return it == table_.end() ? nullptr : &it->second;
+  const std::vector<Route>* slot = find_slot(*index_, flat_, prefix);
+  return slot != nullptr && !slot->empty() ? slot : nullptr;
 }
 
 void AdjRibOut::clear() {
   for (std::vector<Route>& routes : flat_) routes.clear();
-  table_.clear();
   size_ = 0;
 }
 
@@ -382,9 +229,10 @@ void AdjRibOut::for_each(
     const std::function<void(const Ipv4Prefix&, const std::vector<Route>&)>&
         fn) const {
   for (std::size_t id = 0; id < flat_.size(); ++id) {
-    if (!flat_[id].empty()) fn(index_->prefix_of(id), flat_[id]);
+    if (!flat_[id].empty()) {
+      fn(index_->prefix_of(static_cast<std::uint32_t>(id)), flat_[id]);
+    }
   }
-  for (const auto& [prefix, routes] : table_) fn(prefix, routes);
 }
 
 }  // namespace abrr::bgp

@@ -4,12 +4,12 @@
 // Adj-RIB-In holds what each neighbor reported; Adj-RIB-Out holds what is
 // reported to neighbors (one logical copy per peer group).
 //
-// Storage: experiments know the prefix universe up front, so each RIB can
-// be given a shared PrefixIndex (set_prefix_index). Indexed prefixes then
-// live in flat vectors addressed by dense PrefixId — one array access
-// instead of an unordered_map probe on every hot-path touch. Prefixes
-// outside the index (and all prefixes when no index is set) fall back to
-// the original map storage; both paths behave identically.
+// Storage: every RIB keeps its per-prefix state in a flat vector
+// addressed by dense PrefixId — one array access per hot-path touch. The
+// PrefixIndex is handed in at construction (a testbed shares one across
+// all speakers; a standalone RIB gets a private one) and grows on first
+// sight: announce/install/set register an unseen prefix, while reads and
+// withdraws only look it up, so a stray withdraw never takes a slot.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +33,9 @@ class AdjRibIn {
   /// Result of applying an announcement.
   enum class Change { kUnchanged, kAdded, kReplaced };
 
-  /// Switches indexed prefixes to dense flat storage. Call before or
-  /// after inserts (existing indexed entries migrate).
-  void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
+  explicit AdjRibIn(
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>())
+      : index_(std::move(index)) {}
 
   /// Stores/overwrites the route keyed by (prefix, learned_from,
   /// path_id). Requires route.valid().
@@ -66,7 +66,7 @@ class AdjRibIn {
   /// Entries contributed by one peer.
   std::size_t peer_size(RouterId peer) const;
 
-  /// Visits every stored route.
+  /// Visits every stored route, in PrefixId order.
   void for_each(const std::function<void(const Route&)>& fn) const;
 
   /// Drops every entry (router crash with state loss). Keeps the index.
@@ -86,13 +86,8 @@ class AdjRibIn {
   /// Route already carries.
   using PathList = std::vector<Route>;
 
-  const PathList* find_list(const Ipv4Prefix& prefix) const;
-  PathList& ensure_list(const Ipv4Prefix& prefix);
-  void erase_if_empty(const Ipv4Prefix& prefix);
-
-  std::shared_ptr<const PrefixIndex> index_;
+  std::shared_ptr<PrefixIndex> index_;
   std::vector<PathList> flat_;  // slot per PrefixId; empty = no routes
-  std::unordered_map<Ipv4Prefix, PathList> table_;  // unindexed fallback
   std::unordered_map<RouterId, std::size_t> per_peer_;
   std::size_t size_ = 0;
 };
@@ -100,7 +95,9 @@ class AdjRibIn {
 /// Loc-RIB: the single chosen best route per prefix.
 class LocRib {
  public:
-  void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
+  explicit LocRib(
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>())
+      : index_(std::move(index)) {}
 
   /// Installs `route` as best for its prefix; returns true if this
   /// changed the entry (new or different announcement).
@@ -112,18 +109,18 @@ class LocRib {
   /// Current best, or nullptr.
   const Route* best(const Ipv4Prefix& prefix) const;
 
-  std::size_t size() const { return flat_count_ + table_.size(); }
+  std::size_t size() const { return count_; }
 
+  /// Visits every best route, in PrefixId order.
   void for_each(const std::function<void(const Route&)>& fn) const;
 
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
 
  private:
-  std::shared_ptr<const PrefixIndex> index_;
+  std::shared_ptr<PrefixIndex> index_;
   std::vector<Route> flat_;  // slot per PrefixId; !valid() = empty
-  std::size_t flat_count_ = 0;
-  std::unordered_map<Ipv4Prefix, Route> table_;  // unindexed fallback
+  std::size_t count_ = 0;
 };
 
 /// Adj-RIB-Out for one peer group: the set of routes advertised per
@@ -131,13 +128,15 @@ class LocRib {
 /// set for ARRs and multi-path TRRs).
 class AdjRibOut {
  public:
-  void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
+  explicit AdjRibOut(
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>())
+      : index_(std::move(index)) {}
 
   /// Replaces the advertised set for `prefix`. Returns the update to
   /// send if something changed, std::nullopt otherwise. `full_set`
   /// selects ABRR replacement semantics for the generated message;
   /// otherwise an add-paths diff (announce changed, withdraw removed) is
-  /// produced.
+  /// produced. An empty set is a withdraw and never grows the index.
   std::optional<UpdateMessage> set(const Ipv4Prefix& prefix,
                                    std::vector<Route> routes, bool full_set);
 
@@ -147,6 +146,7 @@ class AdjRibOut {
   /// Total advertised route entries (the paper's RIB-Out size metric).
   std::size_t size() const { return size_; }
 
+  /// Visits every non-empty advertised set, in PrefixId order.
   void for_each(
       const std::function<void(const Ipv4Prefix&, const std::vector<Route>&)>&
           fn) const;
@@ -155,9 +155,8 @@ class AdjRibOut {
   void clear();
 
  private:
-  std::shared_ptr<const PrefixIndex> index_;
+  std::shared_ptr<PrefixIndex> index_;
   std::vector<std::vector<Route>> flat_;  // slot per PrefixId; empty = none
-  std::unordered_map<Ipv4Prefix, std::vector<Route>> table_;  // fallback
   std::size_t size_ = 0;
 };
 

@@ -16,10 +16,7 @@ Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
       obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)) {
   network_.set_metrics(&obs_->metrics());
   network_.set_tracer(obs_->tracer());
-  if (config_.use_prefix_index) {
-    prefix_index_ = std::make_shared<bgp::PrefixIndex>();
-    for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
-  }
+  for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
 
   switch (config_.mode) {
     case ibgp::IbgpMode::kFullMesh:
@@ -91,10 +88,9 @@ ibgp::Speaker& Testbed::make_speaker(ibgp::SpeakerConfig cfg) {
   cfg.proc_per_update = config_.timing.proc_per_update;
   cfg.abrr_force_client_reduction = config_.abrr.force_client_reduction;
   cfg.hold_time = config_.timing.hold_time;
-  auto speaker = std::make_unique<ibgp::Speaker>(cfg, scheduler_, network_,
-                                                 &obs_->metrics());
+  auto speaker = std::make_unique<ibgp::Speaker>(
+      cfg, scheduler_, network_, &obs_->metrics(), prefix_index_);
   speaker->set_tracer(obs_->tracer());
-  if (prefix_index_) speaker->set_prefix_index(prefix_index_);
   auto& ref = *speaker;
   speakers_.emplace(cfg.id, std::move(speaker));
   all_ids_.push_back(cfg.id);

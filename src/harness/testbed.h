@@ -49,10 +49,6 @@ struct TestbedOptions {
   sim::Time latency_per_metric = sim::usec(100);
   sim::Time latency_jitter = sim::msec(10);
   std::uint64_t seed = 7;
-  /// Dense prefix-indexed RIB/speaker storage (the fast path). Disable
-  /// to exercise the map-fallback storage (equivalence tests, legacy
-  /// benchmarks); results must be identical either way.
-  bool use_prefix_index = true;
   /// iBGP hold time for failure detection (RFC 4271 §6.5 semantics);
   /// 0 disables timers entirely — peers only go down via explicit
   /// session_down — preserving the fault-free behavior bit for bit.
@@ -80,7 +76,6 @@ struct TestbedOptions {
     c.timing.hold_time = hold_time;
     c.decision = decision;
     c.seed = seed;
-    c.use_prefix_index = use_prefix_index;
     c.obs = obs;
     return c;
   }
@@ -125,10 +120,11 @@ struct RoleTotals {
 class Testbed {
  public:
   /// Builds and wires the testbed. `prefixes` is the experiment's prefix
-  /// universe (dense indexing + AP balancing). The topology's reflector
-  /// boxes become TRRs (TBRR) and/or the first ARR nodes (ABRR); extra
-  /// pure control-plane ARR nodes are created when the partition needs
-  /// more, attached to random PoPs (ABRR placement freedom, §2.3.3).
+  /// universe: it pre-fills the shared PrefixIndex in the given order and
+  /// balances APs. The topology's reflector boxes become TRRs (TBRR)
+  /// and/or the first ARR nodes (ABRR); extra pure control-plane ARR
+  /// nodes are created when the partition needs more, attached to random
+  /// PoPs (ABRR placement freedom, §2.3.3).
   Testbed(topo::Topology topology, const TestbedConfig& config,
           std::span<const Ipv4Prefix> prefixes);
 
@@ -206,12 +202,11 @@ class Testbed {
     arr_directory_.set_alive(id, alive);
   }
 
-  /// The dense prefix universe the bed was built over (slot i ==
-  /// PrefixId i == the serving mode's LPM slot i); nullptr when
-  /// use_prefix_index is off.
-  const bgp::PrefixIndex* prefix_index() const {
-    return prefix_index_.get();
-  }
+  /// The dense prefix numbering every speaker of the bed shares. It
+  /// starts as the `prefixes` given at construction, in that order (slot
+  /// i == PrefixId i == the serving mode's LPM slot i), and grows when a
+  /// speaker first stores a prefix outside them.
+  const bgp::PrefixIndex& prefix_index() const { return *prefix_index_; }
 
   /// Resident-testbed hook: mirrors every Loc-RIB change into
   /// `on_change` (speaker id + best-change arguments; nullptr route =
@@ -244,7 +239,8 @@ class Testbed {
   std::unique_ptr<igp::SpfCache> spf_;
   std::optional<core::PartitionScheme> partition_;
   ibgp::ApOfFn ap_of_;
-  std::shared_ptr<bgp::PrefixIndex> prefix_index_;
+  std::shared_ptr<bgp::PrefixIndex> prefix_index_ =
+      std::make_shared<bgp::PrefixIndex>();
 
   std::unordered_map<RouterId, std::unique_ptr<ibgp::Speaker>> speakers_;
   std::vector<RouterId> rr_ids_;

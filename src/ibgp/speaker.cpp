@@ -32,10 +32,14 @@ void dedup_by_path_id(std::vector<Route>& routes) {
 }  // namespace
 
 Speaker::Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
-                 net::Network& network, obs::MetricsRegistry* metrics)
+                 net::Network& network, obs::MetricsRegistry* metrics,
+                 std::shared_ptr<bgp::PrefixIndex> prefix_index)
     : config_(std::move(config)),
       scheduler_(&scheduler),
       network_(&network),
+      prefix_index_(std::move(prefix_index)),
+      adj_rib_in_(prefix_index_),
+      loc_rib_(prefix_index_),
       metrics_(metrics) {
   if (config_.id == bgp::kNoRouter) {
     throw std::invalid_argument{"speaker needs a non-zero id"};
@@ -244,18 +248,15 @@ void Speaker::drain_input() {
       std::max(busy_until_, scheduler_->now()) +
       static_cast<sim::Time>(batch.size()) * config_.proc_per_update;
 
-  // Coalesce the batch's dirty prefixes: indexed prefixes dedup in O(1)
-  // via per-PrefixId epoch stamps, so the sort below only sees uniques
-  // (plus any unindexed stragglers). The sorted order is what keeps
-  // downstream message generation storage-independent.
+  // Coalesce the batch's dirty prefixes: they dedup in O(1) via
+  // per-PrefixId epoch stamps, so the sort below only sees uniques. The
+  // sorted order is what keeps downstream message generation
+  // independent of PrefixId order.
   ++dirty_epoch_;
   scratch_dirty_.clear();
   for (const Incoming& incoming : batch) apply(incoming, scratch_dirty_);
 
   std::sort(scratch_dirty_.begin(), scratch_dirty_.end());
-  scratch_dirty_.erase(
-      std::unique(scratch_dirty_.begin(), scratch_dirty_.end()),
-      scratch_dirty_.end());
   c_.drain_batch->record(static_cast<double>(scratch_dirty_.size()));
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kDecision, config_.id, 0,
@@ -266,23 +267,10 @@ void Speaker::drain_input() {
 
 void Speaker::mark_dirty(const Ipv4Prefix& prefix,
                          std::vector<Ipv4Prefix>& dirty) {
-  if (prefix_index_) {
-    if (const auto id = prefix_index_->id_of(prefix)) {
-      if (dirty_mark_.size() <= *id) {
-        dirty_mark_.resize(prefix_index_->size(), 0);
-      }
-      if (dirty_mark_[*id] == dirty_epoch_) return;
-      dirty_mark_[*id] = dirty_epoch_;
-    }
-  }
+  std::uint64_t& mark = bgp::grow_slot(*prefix_index_, dirty_mark_, prefix);
+  if (mark == dirty_epoch_) return;
+  mark = dirty_epoch_;
   dirty.push_back(prefix);
-}
-
-void Speaker::set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index) {
-  prefix_index_ = std::move(index);
-  adj_rib_in_.set_prefix_index(prefix_index_);
-  loc_rib_.set_prefix_index(prefix_index_);
-  for (auto& [key, g] : groups_) g.rib.set_prefix_index(prefix_index_);
 }
 
 bool Speaker::accept_route(const Route& route, const PeerState*) const {
@@ -454,23 +442,10 @@ void Speaker::export_ebgp(const Ipv4Prefix& prefix, const Route* best) {
       const Route* p = &*out;
       h = bgp::route_set_hash(std::span<const Route* const>{&p, 1});
     }
-    if (prefix_index_) {
-      const auto pid = prefix_index_->id_of(prefix);
-      if (pid) {
-        if (state.advertised_flat.size() <= *pid) {
-          state.advertised_flat.resize(prefix_index_->size(), 0);
-        }
-        std::uint64_t& last = state.advertised_flat[*pid];
-        if (h == last) continue;
-        last = h;
-        c_.ebgp_updates_sent->inc();
-        if (ebgp_send_hook_) ebgp_send_hook_(neighbor, prefix, out);
-        continue;
-      }
-    }
-    auto& last = state.advertised[prefix];
+    std::uint64_t& last =
+        bgp::grow_slot(*prefix_index_, state.advertised, prefix);
     if (h == last) continue;
-    if (h == 0) state.advertised.erase(prefix); else last = h;
+    last = h;
     c_.ebgp_updates_sent->inc();
     if (ebgp_send_hook_) ebgp_send_hook_(neighbor, prefix, out);
   }
@@ -494,8 +469,7 @@ void Speaker::reset_peer_tx_state(PeerState& ps) {
   ps.pending.clear();
   ps.pending_keys.clear();
   // The peer lost our state with the TCP session.
-  ps.sent_hash_map.clear();
-  std::fill(ps.sent_hash_flat.begin(), ps.sent_hash_flat.end(), 0);
+  ps.sent_hash.clear();
 }
 
 void Speaker::session_down(RouterId peer) {
@@ -574,10 +548,7 @@ void Speaker::crash() {
   loc_rib_.clear();
   if (rib_cleared_hook_) rib_cleared_hook_();
   for (auto& [key, g] : groups_) g.rib.clear();
-  for (auto& [neighbor, state] : ebgp_neighbors_) {
-    state.advertised.clear();
-    std::fill(state.advertised_flat.begin(), state.advertised_flat.end(), 0);
-  }
+  for (auto& [neighbor, state] : ebgp_neighbors_) state.advertised.clear();
 }
 
 void Speaker::restart() {
@@ -870,20 +841,9 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
 
 std::uint64_t& Speaker::sent_hash(PeerState& ps, int key,
                                   const Ipv4Prefix& prefix) {
-  if (prefix_index_) {
-    const auto pid = prefix_index_->id_of(prefix);
-    if (pid) {
-      const std::uint32_t slot = group_slot_.at(key);
-      const std::size_t stride = prefix_index_->size();
-      const std::size_t need = (slot + 1) * stride;
-      if (ps.sent_hash_flat.size() < need) ps.sent_hash_flat.resize(need, 0);
-      return ps.sent_hash_flat[slot * stride + *pid];
-    }
-  }
-  const std::uint64_t mkey =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key + 8)) << 40) ^
-      std::hash<Ipv4Prefix>{}(prefix);
-  return ps.sent_hash_map[mkey];
+  const std::uint32_t slot = group_slot_.at(key);
+  if (ps.sent_hash.size() <= slot) ps.sent_hash.resize(slot + 1);
+  return bgp::grow_slot(*prefix_index_, ps.sent_hash[slot], prefix);
 }
 
 void Speaker::inject_ebgp(RouterId neighbor, Route route) {
@@ -943,10 +903,9 @@ const bgp::AdjRibOut* Speaker::out_group(int key) const {
 }
 
 Speaker::OutGroup& Speaker::group(int key) {
-  const auto [it, inserted] = groups_.emplace(key, OutGroup{});
+  const auto [it, inserted] = groups_.try_emplace(key, prefix_index_);
   if (inserted) {
     group_slot_.emplace(key, static_cast<std::uint32_t>(group_slot_.size()));
-    if (prefix_index_) it->second.rib.set_prefix_index(prefix_index_);
   }
   return it->second;
 }

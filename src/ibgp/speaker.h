@@ -154,8 +154,13 @@ class Speaker {
   /// its shared registry so per-speaker counters can be summed and
   /// snapshotted centrally. When null the speaker owns a private
   /// registry, so standalone construction (unit tests) keeps working.
+  /// `prefix_index` numbers the prefixes of every RIB, sent-hash and
+  /// dirty-mark array of this speaker; the testbed shares one across
+  /// all speakers, standalone speakers get a private one.
   Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
-          net::Network& network, obs::MetricsRegistry* metrics = nullptr);
+          net::Network& network, obs::MetricsRegistry* metrics = nullptr,
+          std::shared_ptr<bgp::PrefixIndex> prefix_index =
+              std::make_shared<bgp::PrefixIndex>());
 
   Speaker(const Speaker&) = delete;
   Speaker& operator=(const Speaker&) = delete;
@@ -181,12 +186,6 @@ class Speaker {
   /// (returns nullopt to reject). Policies live at clients (§2.1).
   using ImportPolicy = std::function<std::optional<Route>(const Route&)>;
   void set_import_policy(ImportPolicy policy) { import_ = std::move(policy); }
-
-  /// Shared dense prefix numbering: switches the RIBs, the per-peer
-  /// sent-hash state, and the dirty-prefix coalescing to flat storage
-  /// indexed by PrefixId. Call right after construction (before routes
-  /// arrive); map fallbacks cover prefixes outside the index.
-  void set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index);
 
   /// §2.4 transition switch (kDual mode): returns true when the best-path
   /// decision for this prefix should use routes learned from ABRR (and
@@ -319,6 +318,8 @@ class Speaker {
 
  private:
   struct OutGroup {
+    explicit OutGroup(std::shared_ptr<bgp::PrefixIndex> index)
+        : rib(std::move(index)) {}
     bgp::AdjRibOut rib;
     std::vector<RouterId> members;
   };
@@ -336,10 +337,9 @@ class Speaker {
     // Pending (group, prefix) pairs awaiting the MRAI flush.
     std::vector<std::pair<int, Ipv4Prefix>> pending;
     std::unordered_set<std::uint64_t> pending_keys;
-    // Last transmitted content hash per (group, prefix); 0 = nothing.
-    // Flat when a PrefixIndex is available, map otherwise.
-    std::unordered_map<std::uint64_t, std::uint64_t> sent_hash_map;
-    std::vector<std::uint64_t> sent_hash_flat;  // indexed by group slot
+    // Last transmitted content hash, [group slot][PrefixId]; 0 = nothing.
+    // One vector per group, so growing the index shifts no entry.
+    std::vector<std::vector<std::uint64_t>> sent_hash;
   };
 
   struct Incoming {
@@ -355,8 +355,7 @@ class Speaker {
   void drain_input();
   /// Applies one message to the Adj-RIB-In; appends dirty prefixes.
   void apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty);
-  /// Appends `prefix` to `dirty` unless already marked this drain epoch
-  /// (dense-index dedup; unindexed prefixes are deduped by sort later).
+  /// Appends `prefix` to `dirty` unless already marked this drain epoch.
   void mark_dirty(const Ipv4Prefix& prefix, std::vector<Ipv4Prefix>& dirty);
   bool accept_route(const Route& route, const PeerState* peer) const;
 
@@ -418,15 +417,13 @@ class Speaker {
   std::function<bool(const Ipv4Prefix&)> accept_abrr_;
   BestChangeHook best_change_hook_;
   RibClearedHook rib_cleared_hook_;
-  std::shared_ptr<const bgp::PrefixIndex> prefix_index_;
+  std::shared_ptr<bgp::PrefixIndex> prefix_index_;
 
   struct EbgpNeighborState {
     Asn asn = 0;
     EbgpExportPolicy policy;
-    // Advertised-content hash per prefix (0 = nothing advertised).
-    // Flat when a PrefixIndex is available, map otherwise.
-    std::unordered_map<Ipv4Prefix, std::uint64_t> advertised;
-    std::vector<std::uint64_t> advertised_flat;  // indexed by PrefixId
+    // Advertised-content hash per PrefixId (0 = nothing advertised).
+    std::vector<std::uint64_t> advertised;
   };
   std::unordered_map<RouterId, EbgpNeighborState> ebgp_neighbors_;
   EbgpSendHook ebgp_send_hook_;
@@ -436,7 +433,7 @@ class Speaker {
   /// the keepalive tick and crash teardown.
   std::vector<RouterId> peer_order_;
   std::unordered_map<int, OutGroup> groups_;
-  // Dense slot assignment for (group) -> index used by sent_hash_flat.
+  // Dense slot assignment for (group) -> index into PeerState::sent_hash.
   std::unordered_map<int, std::uint32_t> group_slot_;
 
   bgp::AdjRibIn adj_rib_in_;
@@ -453,7 +450,7 @@ class Speaker {
   sim::EventId keepalive_timer_ = 0;
 
   // Dirty-prefix coalescing for drain_input: per-PrefixId epoch stamps
-  // so a drain batch dedups indexed prefixes in O(1) per touch.
+  // so a drain batch dedups prefixes in O(1) per touch.
   std::vector<std::uint64_t> dirty_mark_;
   std::uint64_t dirty_epoch_ = 0;
 

@@ -135,11 +135,7 @@ struct RouteService::WriterState {
   obs::Counter* c_reclaimed = nullptr;
 
   void init(harness::Testbed& bed) {
-    pidx = bed.prefix_index();
-    if (pidx == nullptr) {
-      throw std::runtime_error{
-          "serve: testbed has no PrefixIndex (use_prefix_index off)"};
-    }
+    pidx = &bed.prefix_index();
     index = std::make_shared<const bgp::LpmIndex>(pidx->prefixes());
     ids = bed.all_ids();
     std::sort(ids.begin(), ids.end());
@@ -156,9 +152,11 @@ struct RouteService::WriterState {
   void on_change(bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
                  const bgp::Route* best) {
     Mirror& m = mirrors[pos[id] - 1];
-    const auto slot = pidx->id_of(prefix);
-    if (!slot) return;  // outside the served universe
-    RouteEntry& e = m.entries[*slot];
+    // The index grows past the served universe (the LPM built at init)
+    // when a speaker first stores a prefix outside it.
+    const std::size_t slot = pidx->id_of(prefix).value_or(m.entries.size());
+    if (slot >= m.entries.size()) return;  // outside the served universe
+    RouteEntry& e = m.entries[slot];
     if (e.present) {
       m.sum -= fault::fp_route_term(prefix.address(), prefix.length(),
                                     e.next_hop, e.attrs_hash);
@@ -501,6 +499,9 @@ ServeReport run_serve_trial(const runner::ScenarioSpec& spec,
 
   RouteService service{spec, seed, opt.readers + 8};
   service.start();
+  // The read window opens once start() has built and converged the
+  // world, so lookups_per_sec measures reads, not setup.
+  const std::uint64_t read0 = now_ns();
   const sim::Time t0_virtual = service.converged_time();
 
   std::atomic<bool> readers_stop{false};
@@ -546,6 +547,7 @@ ServeReport run_serve_trial(const runner::ScenarioSpec& spec,
   while (!service.done()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const double read_s = static_cast<double>(now_ns() - read0) / 1e9;
   readers_stop.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();
   // All trial readers have unpinned; the parked writer's horizon
@@ -566,7 +568,7 @@ ServeReport run_serve_trial(const runner::ScenarioSpec& spec,
 
   rep.lookups = service.total_lookups();
   rep.lookups_per_sec =
-      wall_ns > 0 ? static_cast<double>(rep.lookups) / (wall_ns / 1e9) : 0;
+      read_s > 0 ? static_cast<double>(rep.lookups) / read_s : 0;
   rep.lookup_p50_ns = lookups.quantile(0.50);
   rep.lookup_p99_ns = lookups.quantile(0.99);
   rep.publish_p50_ns = publishes.quantile(0.50);

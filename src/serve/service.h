@@ -308,6 +308,8 @@ struct ServeTrialOptions {
 /// One serving run's report (bench/serve emits these as JSON).
 struct ServeReport {
   std::uint64_t lookups = 0;
+  /// Over the read window only: start() returning (world built and
+  /// converged) to the writer finishing its churn horizon.
   double lookups_per_sec = 0;
   double lookup_p50_ns = 0;
   double lookup_p99_ns = 0;

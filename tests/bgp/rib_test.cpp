@@ -72,6 +72,26 @@ TEST(AdjRibIn, RoutesForUnknownPrefixEmpty) {
   EXPECT_TRUE(rib.routes_for(kP1).empty());
 }
 
+TEST(AdjRibIn, WithdrawOfUnknownPrefixDoesNotGrowIndex) {
+  auto index = std::make_shared<PrefixIndex>();
+  AdjRibIn rib{index};
+  LocRib loc{index};
+  AdjRibOut out{index};
+  rib.announce(mk(kP1, 5, 1, 100));
+  ASSERT_EQ(index->size(), 1u);
+  // Reads and withdraws of kP2, through every RIB sharing the index.
+  EXPECT_FALSE(rib.withdraw(5, kP2, 1));
+  EXPECT_EQ(rib.withdraw_prefix(5, kP2), 0u);
+  EXPECT_TRUE(rib.routes_for(kP2).empty());
+  EXPECT_FALSE(loc.remove(kP2));
+  EXPECT_EQ(loc.best(kP2), nullptr);
+  EXPECT_FALSE(out.set(kP2, {}, /*full_set=*/true).has_value());
+  EXPECT_EQ(out.get(kP2), nullptr);
+  EXPECT_EQ(index->size(), 1u);
+  EXPECT_FALSE(index->id_of(kP2).has_value());
+  EXPECT_EQ(rib.size(), 1u);
+}
+
 TEST(AdjRibIn, RejectsInvalidRoute) {
   AdjRibIn rib;
   EXPECT_THROW(rib.announce(Route{}), std::invalid_argument);

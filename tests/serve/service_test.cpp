@@ -246,11 +246,6 @@ TEST(RouteService, RejectsInvalidServeSpecs) {
     spec.serve.max_resident_snapshots = 1;
     EXPECT_THROW((RouteService{spec, 1}), std::invalid_argument);
   }
-  {
-    runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kAbrr);
-    spec.use_prefix_index = false;
-    EXPECT_THROW((RouteService{spec, 1}), std::invalid_argument);
-  }
 }
 
 }  // namespace

@@ -16,7 +16,10 @@ namespace {
 class MrtTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path = ::testing::TempDir() + "abrr_mrt_test.bin";
+    // One file per test: ctest runs the cases as parallel processes.
+    path = ::testing::TempDir() + "abrr_mrt_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".bin";
     sim::Rng rng{7};
     topo::TopologyParams tp;
     tp.pops = 4;
