@@ -5,18 +5,12 @@
 // blocks; the paper notes ISPs can control this by choosing ranges with
 // equal prefix shares. This bench quantifies the spread both ways.
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_ap_balancing");
-  sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const auto prefixes = workload.prefixes();
-
   std::printf("# Ablation: AP balancing (%zu prefixes, 8 APs, 2 ARRs each)\n\n",
               cfg.prefixes);
   std::printf("%-10s %9s %9s %9s %11s | %9s %9s %9s %11s\n", "scheme",
@@ -25,11 +19,11 @@ int main(int argc, char** argv) {
 
   bench::MetricsSink sink{"ablation_ap_balancing", cfg.metrics_out};
   const auto run = [&](bool balanced) {
-    auto options = bench::paper_options(ibgp::IbgpMode::kAbrr, 8, cfg.seed);
-    options.balanced_aps = balanced;
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    if (!bench::load_snapshot(*bed, workload, 30.0)) {
+    auto spec = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
+    spec.abrr.balanced_aps = balanced;
+    const runner::World w = runner::build_world(spec, cfg.seed);
+    const auto& bed = w.bed;
+    if (!w.converged) {
       std::printf("%-10s DID NOT CONVERGE\n", balanced ? "balanced" : "uniform");
       return;
     }

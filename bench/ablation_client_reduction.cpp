@@ -16,12 +16,13 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_client_reduction");
-  if (cfg.prefixes == 4000) cfg.prefixes = 1200;
-  cfg.pops = 7;  // keep the full-mesh reference affordable
-  cfg.clients_per_pop = 6;
+  // A small bed keeps the full-mesh reference affordable.
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "ablation_client_reduction",
+      {.prefixes = 1200, .pops = 7, .clients_per_pop = 6});
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
+  const auto topology = runner::make_trial_topology(
+      bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg).topology, rng);
   // Diverse per-point MEDs: the regime where a reflected low-MED route
   // is the witness that suppresses a client's own higher-MED route.
   // (With the default uniform-MED policy the reduction is lossless.)
@@ -31,12 +32,17 @@ int main(int argc, char** argv) {
   const auto workload = trace::Workload::generate(wp, topology, rng);
   const auto prefixes = workload.prefixes();
 
-  const auto build = [&](bool force_reduction) {
-    auto options = bench::paper_options(ibgp::IbgpMode::kAbrr, 8, cfg.seed);
-    options.abrr_force_client_reduction = force_reduction;
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    bench::load_snapshot(*bed, workload, 30.0);
+  // The custom workload is why this bench builds its beds itself
+  // rather than through runner::build_world.
+  const auto build = [&](ibgp::IbgpMode mode, bool force_reduction) {
+    auto spec = bench::paper_spec(mode, 8, cfg);
+    spec.abrr.force_client_reduction = force_reduction;
+    auto bed = std::make_unique<harness::Testbed>(
+        topology, spec.testbed_config(cfg.seed), prefixes);
+    trace::RouteRegenerator regen{bed->scheduler(), workload,
+                                  bed->inject_fn()};
+    regen.load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
+    bed->run_to_quiescence(500'000'000);
     return bed;
   };
   const auto client_rib_in = [](harness::Testbed& bed) {
@@ -47,13 +53,9 @@ int main(int argc, char** argv) {
     return total / static_cast<double>(bed.client_ids().size());
   };
 
-  auto full = build(false);
-  auto reduced = build(true);
-  auto mesh_options =
-      bench::paper_options(ibgp::IbgpMode::kFullMesh, 8, cfg.seed);
-  auto mesh =
-      std::make_unique<harness::Testbed>(topology, mesh_options, prefixes);
-  bench::load_snapshot(*mesh, workload, 30.0);
+  auto full = build(ibgp::IbgpMode::kAbrr, false);
+  auto reduced = build(ibgp::IbgpMode::kAbrr, true);
+  auto mesh = build(ibgp::IbgpMode::kFullMesh, false);
 
   const auto eq_full = verify::compare_loc_ribs(*full, *mesh, prefixes);
   const auto eq_reduced =

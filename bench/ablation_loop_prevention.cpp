@@ -9,18 +9,13 @@
 // the §2.3.2 misconfiguration loop (three routers all believing they
 // are the ARR).
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_loop_prevention");
-  if (cfg.prefixes == 4000) cfg.prefixes = 800;
-  sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const auto prefixes = workload.prefixes();
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "ablation_loop_prevention", {.prefixes = 800});
 
   std::printf("# Ablation: loop-prevention attribute overhead\n\n");
 
@@ -33,10 +28,10 @@ int main(int argc, char** argv) {
   };
   bench::MetricsSink sink{"ablation_loop_prevention", cfg.metrics_out};
   const auto measure = [&](ibgp::IbgpMode mode) {
-    auto options = bench::paper_options(mode, 8, cfg.seed);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    bench::load_snapshot(*bed, workload, 20.0);
+    auto spec = bench::paper_spec(mode, 8, cfg);
+    spec.workload.snapshot_seconds = 20;
+    const runner::World w = runner::build_world(spec, cfg.seed);
+    const auto& bed = w.bed;
     Stats s;
     for (const auto id : bed->client_ids()) {
       bed->speaker(id).adj_rib_in().for_each([&](const bgp::Route& r) {

@@ -14,9 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_med_policy");
-  if (cfg.prefixes == 4000) cfg.prefixes = 600;
-  cfg.pops = 5;
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "ablation_med_policy", {.prefixes = 600, .pops = 5});
 
   std::printf("# Ablation: MED policy vs convergence (%zu prefixes)\n\n",
               cfg.prefixes);
@@ -26,20 +25,23 @@ int main(int argc, char** argv) {
   bench::MetricsSink sink{"ablation_med_policy", cfg.metrics_out};
   const auto run = [&](ibgp::IbgpMode mode, bool diverse_meds,
                        bool always_compare, const char* label) {
+    // A per-point-MED workload, a monitor attached before the load and a
+    // small event cap: this bench builds its beds itself rather than
+    // through runner::build_world.
+    auto spec = bench::paper_spec(mode, 8, cfg);
+    spec.timing.mrai = 0;  // oscillate fast rather than slowly
+    spec.timing.proc_delay = sim::msec(2);
+    spec.decision.always_compare_med = always_compare;
     sim::Rng rng{cfg.seed};
-    const auto topology = bench::make_paper_topology(cfg, rng);
+    const auto topology = runner::make_trial_topology(spec.topology, rng);
     trace::WorkloadParams wp;
     wp.prefixes = cfg.prefixes;
     wp.per_point_meds = diverse_meds;
     const auto workload = trace::Workload::generate(wp, topology, rng);
     const auto prefixes = workload.prefixes();
 
-    auto options = bench::paper_options(mode, 8, cfg.seed);
-    options.mrai = 0;  // oscillate fast rather than slowly
-    options.proc_delay = sim::msec(2);
-    options.decision.always_compare_med = always_compare;
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
+    auto bed = std::make_unique<harness::Testbed>(
+        topology, spec.testbed_config(cfg.seed), prefixes);
     verify::OscillationMonitor monitor{30};
     for (const auto id : bed->all_ids()) monitor.attach(bed->speaker(id));
     trace::RouteRegenerator regen{bed->scheduler(), workload,

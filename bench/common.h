@@ -11,7 +11,10 @@
 // unknown flags fail loudly, and every bench shares the same spelling
 // (--prefixes, --seed/--seeds, --jobs, --metrics-out, --out-dir, ...).
 // Experiments themselves are declared as runner::ScenarioSpec values
-// (see paper_spec) and executed by runner::ExperimentRunner.
+// (see paper_spec). Whole trials run through runner::ExperimentRunner;
+// benches that drive a bed themselves get it, snapshot loaded and
+// converged, from runner::build_world — the recipe for the bed lives
+// only in src/runner.
 #pragma once
 
 #include <chrono>
@@ -31,6 +34,7 @@
 #include "runner/arg_parser.h"
 #include "runner/runner.h"
 #include "runner/scenario.h"
+#include "runner/trial.h"
 #include "serve/service.h"
 #include "topo/topology.h"
 #include "trace/regenerator.h"
@@ -100,14 +104,20 @@ struct ExperimentConfig {
     }
   }
 
+  /// Parses the shared flags over `defaults` (the bench's own scale),
+  /// so an explicit flag always wins and --help shows the real defaults.
+  static ExperimentConfig from_args(int argc, char** argv,
+                                    const char* program,
+                                    ExperimentConfig defaults) {
+    runner::ArgParser parser{program};
+    defaults.register_flags(parser);
+    parser.parse(argc, argv);
+    defaults.finish();
+    return defaults;
+  }
   static ExperimentConfig from_args(int argc, char** argv,
                                     const char* program) {
-    ExperimentConfig cfg;
-    runner::ArgParser parser{program};
-    cfg.register_flags(parser);
-    parser.parse(argc, argv);
-    cfg.finish();
-    return cfg;
+    return from_args(argc, argv, program, ExperimentConfig{});
   }
 };
 
@@ -400,50 +410,6 @@ class JsonWriter {
   std::vector<bool> first_;
   std::vector<char> closers_;
 };
-
-inline topo::Topology make_paper_topology(const ExperimentConfig& cfg,
-                                          sim::Rng& rng) {
-  topo::TopologyParams tp;
-  tp.pops = cfg.pops;
-  tp.clients_per_pop = cfg.clients_per_pop;
-  tp.peering_router_fraction = 1.0;  // §4: peering routers only
-  tp.peer_ases = cfg.peer_ases;
-  tp.peering_points_per_as = cfg.points_per_as;
-  tp.peering_skew = 0.8;  // gateway-PoP concentration (§4.1 variance)
-  return topo::make_tier1(tp, rng);
-}
-
-inline trace::Workload make_paper_workload(const ExperimentConfig& cfg,
-                                           const topo::Topology& topology,
-                                           sim::Rng& rng) {
-  trace::WorkloadParams wp;
-  wp.prefixes = cfg.prefixes;
-  return trace::Workload::generate(wp, topology, rng);
-}
-
-inline harness::TestbedOptions paper_options(ibgp::IbgpMode mode,
-                                             std::size_t num_aps,
-                                             std::uint64_t seed) {
-  harness::TestbedOptions o;
-  o.mode = mode;
-  o.num_aps = num_aps;
-  o.arrs_per_ap = 2;  // paper: 2 ARRs per AP, 2 TRRs per cluster
-  o.mrai = sim::sec(5);
-  o.proc_delay = sim::msec(50);
-  o.proc_per_update = sim::usec(20);
-  o.latency_jitter = sim::msec(20);
-  o.seed = seed;
-  return o;
-}
-
-/// Loads the snapshot paced over `seconds` of simulated time and runs to
-/// quiescence. Returns false on non-convergence.
-inline bool load_snapshot(harness::Testbed& bed,
-                          const trace::Workload& workload, double seconds) {
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec_f(seconds));
-  return bed.run_to_quiescence(500'000'000);
-}
 
 /// Measured average best-AS-level routes per prefix over all sources,
 /// for the Appendix A overlay.

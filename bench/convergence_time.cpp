@@ -9,7 +9,6 @@
 // every client has switched to the new egress.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "common.h"
@@ -33,13 +32,11 @@ double percentile(std::vector<double> v, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "convergence_time");
-  cfg.pops = 6;
-  if (cfg.prefixes == 4000) cfg.prefixes = 400;
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "convergence_time", {.prefixes = 400, .pops = 6});
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const auto prefixes = workload.prefixes();
+  const auto topology = runner::make_trial_topology(
+      bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg).topology, rng);
 
   std::printf("# §3.5: event-to-convergence time (MRAI = 5s on iBGP)\n");
   std::printf("# prefixes=%zu clients=%zu events=20 per scheme\n\n",
@@ -49,10 +46,12 @@ int main(int argc, char** argv) {
 
   bench::MetricsSink sink{"convergence_time", cfg.metrics_out};
   const auto measure = [&](ibgp::IbgpMode mode, const char* label) {
-    auto options = bench::paper_options(mode, 8, cfg.seed);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    if (!bench::load_snapshot(*bed, workload, 20.0)) {
+    auto spec = bench::paper_spec(mode, 8, cfg);
+    spec.workload.snapshot_seconds = 20;
+    const runner::World w = runner::build_world(spec, cfg.seed);
+    const auto& bed = w.bed;
+    const trace::Workload& workload = w.workload;
+    if (!w.converged) {
       std::printf("%-10s DID NOT CONVERGE\n", label);
       return;
     }

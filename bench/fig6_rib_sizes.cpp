@@ -24,13 +24,6 @@ int main(int argc, char** argv) {
   const auto cfg =
       bench::ExperimentConfig::from_args(argc, argv, "fig6_rib_sizes");
 
-  // The analysis overlay needs the measured #BAL of the workload the
-  // trials will regenerate from cfg.seed.
-  sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const double bal = bench::measured_bal(workload, topology, rng);
-
   std::vector<runner::ScenarioSpec> specs;
   for (const std::size_t aps : {1u, 2u, 4u, 8u, 16u, 32u}) {
     auto spec = bench::paper_spec(ibgp::IbgpMode::kAbrr, aps, cfg);
@@ -42,6 +35,13 @@ int main(int argc, char** argv) {
     spec.name = "TBRR/" + std::to_string(cfg.pops) + "cl";
     specs.push_back(std::move(spec));
   }
+  // The analysis overlay needs the measured #BAL of the workload the
+  // trials will regenerate from cfg.seed.
+  sim::Rng rng{cfg.seed};
+  const auto topology = runner::make_trial_topology(specs[0].topology, rng);
+  const auto workload =
+      runner::make_trial_workload(specs[0].workload, topology, rng);
+  const double bal = bench::measured_bal(workload, topology, rng);
 
   runner::ExperimentRunner run{{.jobs = cfg.jobs}};
   const auto results = run.run(specs);

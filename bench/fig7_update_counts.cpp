@@ -18,16 +18,13 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg =
-      bench::ExperimentConfig::from_args(argc, argv, "fig7_update_counts");
   // The paper replayed a two-week realtime feed: per-session update
   // streams are SPARSE relative to the 5s MRAI. Mirror that by default
   // (a dense feed saturates MRAI coalescing on every session and hides
   // the received-updates growth with #APs).
-  if (cfg.trace_seconds == 120.0) cfg.trace_seconds = 240.0;
-  if (cfg.trace_events_per_second == 20.0) {
-    cfg.trace_events_per_second = 4.0;
-  }
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "fig7_update_counts",
+      {.trace_seconds = 240.0, .trace_events_per_second = 4.0});
 
   std::vector<runner::ScenarioSpec> specs;
   const auto with_trace = [&](runner::ScenarioSpec spec) {

@@ -388,10 +388,9 @@ BENCHMARK(BM_ObsTracerRecord);
 
 void BM_SpfTier1(benchmark::State& state) {
   sim::Rng rng{4};
-  topo::TopologyParams tp;
-  tp.pops = 13;
-  tp.clients_per_pop = 8;
-  const auto topology = topo::make_tier1(tp, rng);
+  const auto topology = runner::make_trial_topology(
+      {.pops = 13, .peering_router_fraction = 0.5, .peering_skew = 1.0},
+      rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         igp::compute_spf(topology.graph, topology.clients.front().id));
@@ -458,7 +457,10 @@ BENCHMARK(BM_WireSize)->Arg(1)->Arg(10)->Arg(100);
 // End-to-end: a small TBRR deployment converging on an initial snapshot
 // (testbed construction + paced injection + run to quiescence).
 // ---------------------------------------------------------------------
+// Topology and workload are generated once, outside the timed loop, so
+// the bed is built here rather than through runner::build_world.
 struct ConvergenceScenario {
+  runner::ScenarioSpec spec;
   topo::Topology topology;
   trace::Workload workload;
   std::vector<Ipv4Prefix> prefixes;
@@ -466,19 +468,18 @@ struct ConvergenceScenario {
 
 const ConvergenceScenario& convergence_scenario() {
   static const ConvergenceScenario* scenario = [] {
-    bench::ExperimentConfig cfg;
-    cfg.prefixes = 300;
-    cfg.pops = 4;
-    cfg.clients_per_pop = 4;
-    cfg.peer_ases = 8;
-    cfg.points_per_as = 4;
-    cfg.seed = 42;
-    sim::Rng rng{cfg.seed};
-    auto topology = bench::make_paper_topology(cfg, rng);
-    auto workload = bench::make_paper_workload(cfg, topology, rng);
-    auto* s = new ConvergenceScenario{std::move(topology),
-                                      std::move(workload),
-                                      {}};
+    auto spec = runner::ScenarioSpec::paper(ibgp::IbgpMode::kTbrr, 4, 42);
+    spec.topology = {.pops = 4,
+                     .clients_per_pop = 4,
+                     .peer_ases = 8,
+                     .points_per_as = 4};
+    spec.workload.prefixes = 300;
+    spec.workload.snapshot_seconds = 5;
+    sim::Rng rng{42};
+    auto topology = runner::make_trial_topology(spec.topology, rng);
+    auto workload = runner::make_trial_workload(spec.workload, topology, rng);
+    auto* s = new ConvergenceScenario{std::move(spec), std::move(topology),
+                                      std::move(workload), {}};
     s->prefixes = s->workload.prefixes();
     return s;
   }();
@@ -487,10 +488,13 @@ const ConvergenceScenario& convergence_scenario() {
 
 void BM_TestbedConvergence(benchmark::State& state) {
   const ConvergenceScenario& s = convergence_scenario();
-  const auto options = bench::paper_options(ibgp::IbgpMode::kTbrr, 4, 42);
+  const harness::TestbedConfig config = s.spec.testbed_config(42);
   for (auto _ : state) {
-    harness::Testbed bed{s.topology, options, s.prefixes};
-    const bool converged = bench::load_snapshot(bed, s.workload, 5.0);
+    harness::Testbed bed{s.topology, config, s.prefixes};
+    trace::RouteRegenerator regen{bed.scheduler(), s.workload,
+                                  bed.inject_fn()};
+    regen.load_snapshot(0, sim::sec_f(s.spec.workload.snapshot_seconds));
+    const bool converged = bed.run_to_quiescence(500'000'000);
     if (!converged) state.SkipWithError("did not converge");
     benchmark::DoNotOptimize(bed.rr_rib_in());
   }

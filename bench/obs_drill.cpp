@@ -24,28 +24,29 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "obs_drill");
   // A drill wants a small bed: the artifacts are for reading, not for
-  // scale. Override only values the user left at their defaults.
-  if (cfg.prefixes == 4000) cfg.prefixes = 200;
-  if (cfg.pops == 13) cfg.pops = 3;
+  // scale.
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "obs_drill", {.prefixes = 200, .pops = 3});
   const std::string& out_dir = cfg.out_dir;
 
+  auto spec = bench::paper_spec(ibgp::IbgpMode::kAbrr, 2, cfg);
+  spec.timing.hold_time = sim::sec(3);  // arm failure detection
+  spec.obs.enabled = true;
+  spec.obs.sample_period = sim::msec(500);
+  spec.obs.pcap_frames = std::size_t{1} << 18;  // keep the whole drill
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const auto prefixes = workload.prefixes();
-
-  auto options = bench::paper_options(ibgp::IbgpMode::kAbrr, 2, cfg.seed);
-  options.hold_time = sim::sec(3);  // arm failure detection
-  options.obs.enabled = true;
-  options.obs.sample_period = sim::msec(500);
-  options.obs.pcap_frames = std::size_t{1} << 18;  // keep the whole drill
-  harness::Testbed bed{topology, options, prefixes};
+  const auto topology = runner::make_trial_topology(spec.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(spec.workload, topology, rng);
+  harness::Testbed bed{topology, spec.testbed_config(cfg.seed),
+                       workload.prefixes()};
 
   trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
   regen.load_snapshot(0, sim::sec(10));
-  // Hold timers keep the queue alive forever, so run to a deadline.
+  // Hold timers keep the queue alive forever, so run to a deadline: a
+  // shorter one than runner::build_world's, which is why the drill
+  // builds its bed itself.
   bed.run_until(sim::sec(30));
 
   fault::ChaosParams chaos;

@@ -26,13 +26,9 @@ int main(int argc, char** argv) {
   using namespace abrr;
   using namespace abrr::bench;
 
-  ExperimentConfig cfg;
-  cfg.prefixes = 1000;  // 16 trials; keep each one modest by default
-  cfg.jobs = 4;
-  runner::ArgParser parser{"sweep"};
-  cfg.register_flags(parser);
-  parser.parse(argc, argv);
-  cfg.finish();
+  // 16 trials; keep each one modest by default.
+  const auto cfg = ExperimentConfig::from_args(argc, argv, "sweep",
+                                               {.prefixes = 1000, .jobs = 4});
   const std::size_t jobs = cfg.jobs == 0 ? 1 : cfg.jobs;
 
   runner::ScenarioSpec base = paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);

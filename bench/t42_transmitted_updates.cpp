@@ -5,19 +5,20 @@
 // transmits roughly 4x more BYTES: ABRR trades a modest bandwidth loss
 // for a large processing win.
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "t42_transmitted_updates");
-  cfg.pops = 27;  // the full 27-cluster AS of §4.2
-  if (cfg.prefixes == 4000) cfg.prefixes = 2000;  // 27 PoPs cost more
+  // The full 27-cluster AS of §4.2; 27 PoPs cost more, so fewer
+  // prefixes by default.
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "t42_transmitted_updates", {.prefixes = 2000, .pops = 27});
+  const auto base = bench::paper_spec(ibgp::IbgpMode::kAbrr, 27, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const auto prefixes = workload.prefixes();
+  const auto topology = runner::make_trial_topology(base.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(base.workload, topology, rng);
 
   trace::TraceParams tparams;
   tparams.duration = sim::sec_f(cfg.trace_seconds);
@@ -42,33 +43,30 @@ int main(int argc, char** argv) {
   };
   bench::MetricsSink sink{"t42_transmitted_updates", cfg.metrics_out};
   const auto run = [&](ibgp::IbgpMode mode) -> Result {
-    auto options = bench::paper_options(mode, 27, cfg.seed);
+    auto spec = bench::paper_spec(mode, 27, cfg);
     // §4: the paper's feed ran up to 20x realtime with <3% change in
     // update counts, so MRAI pacing was not the bottleneck there; what
     // separates the schemes is input-batch coalescing (ARRs absorb a
     // routing event's client updates in one processing pass) versus
     // TBRR's staggered inter-TRR races. Model that regime directly.
-    options.mrai = 0;
-    options.proc_delay = sim::msec(100);
-    options.latency_jitter = sim::msec(150);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
-    regen.load_snapshot(0, sim::sec(30));
-    bed->run_to_quiescence(500'000'000);
-    bed->reset_counters();
-    regen.play(trace, bed->scheduler().now());
-    bed->run_to_quiescence(500'000'000);
+    spec.timing.mrai = 0;
+    spec.timing.proc_delay = sim::msec(100);
+    spec.timing.latency_jitter = sim::msec(150);
+    spec.workload.snapshot_seconds = 30;
+    const runner::World w = runner::build_world(spec, cfg.seed);
+    harness::Testbed& bed = *w.bed;
+    bed.reset_counters();
+    w.regen->play(trace, bed.scheduler().now());
+    bed.run_to_quiescence(500'000'000);
 
     Result r;
     std::uint64_t routes = 0, updates = 0;
-    for (const auto id : bed->rr_ids()) {
-      const auto c = bed->delta_counters(id);
+    for (const auto id : bed.rr_ids()) {
+      const auto c = bed.delta_counters(id);
       updates += c.updates_transmitted;
       routes += c.routes_transmitted;
     }
-    const auto rr = bed->rr_counters();
+    const auto rr = bed.rr_counters();
     r.tx_per_rr_sec = rr.avg_transmitted() / cfg.trace_seconds;
     r.bytes_per_rr_sec = rr.avg_bytes() / cfg.trace_seconds;
     r.wire_bytes_per_rr_sec = rr.avg_wire_bytes() / cfg.trace_seconds;
@@ -76,16 +74,16 @@ int main(int argc, char** argv) {
         updates ? static_cast<double>(routes) / updates : 0;
     r.generated_per_rr = rr.avg_generated();
     double peers = 0;
-    for (const auto id : bed->rr_ids()) {
-      peers += static_cast<double>(bed->speaker(id).peer_count());
-      const auto c = bed->delta_counters(id);
+    for (const auto id : bed.rr_ids()) {
+      peers += static_cast<double>(bed.speaker(id).peer_count());
+      const auto c = bed.delta_counters(id);
       r.gen_clients += static_cast<double>(c.generated_to_clients);
       r.gen_rrs += static_cast<double>(c.generated_to_rrs);
     }
-    r.peers_per_rr = peers / static_cast<double>(bed->rr_ids().size());
-    r.gen_clients /= static_cast<double>(bed->rr_ids().size());
-    r.gen_rrs /= static_cast<double>(bed->rr_ids().size());
-    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", *bed);
+    r.peers_per_rr = peers / static_cast<double>(bed.rr_ids().size());
+    r.gen_clients /= static_cast<double>(bed.rr_ids().size());
+    r.gen_rrs /= static_cast<double>(bed.rr_ids().size());
+    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", bed);
     return r;
   };
 

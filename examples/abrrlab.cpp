@@ -8,22 +8,25 @@
 //       Summarize an MRT file (prefixes, announcements, events).
 //
 //   abrrlab run   --in=FILE --mode=abrr|tbrr|mesh [--aps=N] [--seed=N]
-//                 [--balanced]
+//                 [--pops=N] [--balanced]
 //       Load the snapshot, replay the trace, print RIB sizes, update
 //       counters, forwarding/efficiency audits.
 //
-//   abrrlab compare --in=FILE [--aps=N]
+//   abrrlab compare --in=FILE [--aps=N] [--seed=N] [--pops=N] [--balanced]
 //       Run ABRR and full-mesh side by side and report equivalence.
+//
+// Every subcommand takes --help; unknown flags are rejected.
 //
 // The topology is re-synthesized from the same seed (the MRT file
 // stores the edge view; router placement is deterministic per seed).
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "harness/testbed.h"
+#include "runner/arg_parser.h"
+#include "runner/trial.h"
 #include "trace/mrt.h"
 #include "trace/regenerator.h"
 #include "verify/efficiency.h"
@@ -34,74 +37,80 @@ using namespace abrr;
 
 namespace {
 
+/// Every subcommand's flags. Each subcommand declares the ones it reads
+/// on its own runner::ArgParser, so a flag it does not know (or a value
+/// that does not parse) is an error, not a silent default.
 struct Args {
-  std::string command;
-  std::map<std::string, std::string> kv;
+  std::string out;
+  std::string in;
+  unsigned long prefixes = 4000;
+  unsigned long seed = 42;
+  std::uint32_t pops = 13;
+  unsigned long trace_seconds = 120;
+  double rate = 8;
+  std::string mode = "abrr";
+  unsigned long aps = 8;
+  bool balanced = false;
 
-  static Args parse(int argc, char** argv) {
+  static Args parse(const std::string& command, int argc, char** argv) {
     Args a;
-    if (argc > 1) a.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-      std::string s = argv[i];
-      if (s.rfind("--", 0) != 0) continue;
-      const auto eq = s.find('=');
-      if (eq == std::string::npos) {
-        a.kv[s.substr(2)] = "1";
-      } else {
-        a.kv[s.substr(2, eq - 2)] = s.substr(eq + 1);
-      }
+    runner::ArgParser p{"abrrlab " + command};
+    if (command == "gen") {
+      p.add("out", "MRT file to write", &a.out);
+      p.add("prefixes", "peer prefixes in the synthetic RIB", &a.prefixes);
+      p.add("trace-seconds", "update-trace length (seconds)",
+            &a.trace_seconds);
+      p.add("rate", "update-trace events per second", &a.rate);
+    } else {
+      p.add("in", "MRT file to read", &a.in);
     }
+    if (command == "run") {
+      p.add("mode", "iBGP mode: abrr|tbrr|mesh", &a.mode);
+    }
+    if (command == "run" || command == "compare") {
+      p.add("aps", "ABRR address partitions", &a.aps);
+      p.add("balanced", "balance APs on the file's prefixes", &a.balanced);
+    }
+    if (command != "info") {
+      p.add("seed", "topology seed", &a.seed);
+      p.add("pops", "PoPs in the Tier-1 topology", &a.pops);
+    }
+    // argv[0] is the subcommand, which parse() skips like a program name.
+    p.parse(argc, argv);
     return a;
-  }
-  std::string get(const std::string& key, const std::string& dflt) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? dflt : it->second;
-  }
-  std::uint64_t num(const std::string& key, std::uint64_t dflt) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
   }
 };
 
-topo::Topology make_topology(std::uint64_t seed, std::uint32_t pops) {
-  sim::Rng rng{seed};
-  topo::TopologyParams tp;
-  tp.pops = pops;
-  tp.clients_per_pop = 8;
-  tp.peering_router_fraction = 1.0;
-  tp.peer_ases = 25;
-  tp.peering_points_per_as = 8;
-  tp.peering_skew = 0.8;
-  return topo::make_tier1(tp, rng);
+topo::Topology make_topology(const Args& args) {
+  sim::Rng rng{args.seed};
+  return runner::make_trial_topology({.pops = args.pops}, rng);
 }
 
 int cmd_gen(const Args& args) {
-  const std::string out = args.get("out", "");
-  if (out.empty()) {
+  if (args.out.empty()) {
     std::fprintf(stderr, "gen: --out=FILE required\n");
     return 2;
   }
-  const std::uint64_t seed = args.num("seed", 42);
-  sim::Rng rng{seed};
-  const auto topology =
-      make_topology(seed, static_cast<std::uint32_t>(args.num("pops", 13)));
-  trace::WorkloadParams wp;
-  wp.prefixes = args.num("prefixes", 4000);
-  const auto workload = trace::Workload::generate(wp, topology, rng);
+  const auto topology = make_topology(args);
+  // The workload stream restarts at the seed rather than continuing the
+  // topology's, so files written with a given seed stay reproducible.
+  sim::Rng rng{args.seed};
+  const auto workload =
+      runner::make_trial_workload({.prefixes = args.prefixes}, topology, rng);
   trace::TraceParams tp;
-  tp.duration = sim::sec(static_cast<std::int64_t>(
-      args.num("trace-seconds", 120)));
-  tp.events_per_second = static_cast<double>(args.num("rate", 8));
+  tp.duration = sim::sec(static_cast<std::int64_t>(args.trace_seconds));
+  tp.events_per_second = args.rate;
   const auto trace = trace::UpdateTrace::generate(tp, workload, rng);
-  trace::write_mrt(out, workload, trace);
+  trace::write_mrt(args.out, workload, trace);
   std::printf("wrote %s (%zu prefixes, %zu events, seed %llu)\n",
-              out.c_str(), workload.prefix_count(), trace.events().size(),
-              static_cast<unsigned long long>(seed));
+              args.out.c_str(), workload.prefix_count(),
+              trace.events().size(),
+              static_cast<unsigned long long>(args.seed));
   return 0;
 }
 
 int cmd_info(const Args& args) {
-  const auto file = trace::read_mrt(args.get("in", ""));
+  const auto file = trace::read_mrt(args.in);
   std::size_t anns = 0, peers = 0;
   for (const auto& e : file.workload.table()) {
     anns += e.anns.size();
@@ -134,15 +143,14 @@ struct RunResult {
 
 RunResult run_file(const trace::MrtFile& file, const Args& args,
                    ibgp::IbgpMode mode) {
-  const std::uint64_t seed = args.num("seed", 42);
-  const auto topology =
-      make_topology(seed, static_cast<std::uint32_t>(args.num("pops", 13)));
-  harness::TestbedOptions options;
-  options.mode = mode;
-  options.num_aps = args.num("aps", 8);
-  options.balanced_aps = args.kv.count("balanced") != 0;
-  options.seed = seed;
-  auto bed = std::make_unique<harness::Testbed>(topology, options,
+  // The workload comes from the file, so the bed is built here rather
+  // than through runner::build_world.
+  harness::TestbedConfig config;
+  config.mode = mode;
+  config.abrr.num_aps = args.aps;
+  config.abrr.balanced_aps = args.balanced;
+  config.seed = args.seed;
+  auto bed = std::make_unique<harness::Testbed>(make_topology(args), config,
                                                 file.workload.prefixes());
   trace::RouteRegenerator regen{bed->scheduler(), file.workload,
                                 bed->inject_fn()};
@@ -158,11 +166,18 @@ RunResult run_file(const trace::MrtFile& file, const Args& args,
 }
 
 int cmd_run(const Args& args) {
-  const auto file = trace::read_mrt(args.get("in", ""));
-  const std::string mode_str = args.get("mode", "abrr");
+  const auto file = trace::read_mrt(args.in);
+  const std::string& mode_str = args.mode;
   ibgp::IbgpMode mode = ibgp::IbgpMode::kAbrr;
-  if (mode_str == "tbrr") mode = ibgp::IbgpMode::kTbrr;
-  if (mode_str == "mesh") mode = ibgp::IbgpMode::kFullMesh;
+  if (mode_str == "tbrr") {
+    mode = ibgp::IbgpMode::kTbrr;
+  } else if (mode_str == "mesh") {
+    mode = ibgp::IbgpMode::kFullMesh;
+  } else if (mode_str != "abrr") {
+    std::fprintf(stderr, "run: unknown --mode '%s' (expected "
+                 "abrr|tbrr|mesh)\n", mode_str.c_str());
+    return 2;
+  }
 
   auto result = run_file(file, args, mode);
   if (!result.bed) return 1;
@@ -201,7 +216,7 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_compare(const Args& args) {
-  const auto file = trace::read_mrt(args.get("in", ""));
+  const auto file = trace::read_mrt(args.in);
   auto abrr = run_file(file, args, ibgp::IbgpMode::kAbrr);
   auto mesh = run_file(file, args, ibgp::IbgpMode::kFullMesh);
   if (!abrr.bed || !mesh.bed) return 1;
@@ -220,15 +235,20 @@ int cmd_compare(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = Args::parse(argc, argv);
-  try {
-    if (args.command == "gen") return cmd_gen(args);
-    if (args.command == "info") return cmd_info(args);
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "compare") return cmd_compare(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  const std::string command = argc > 1 ? argv[1] : "";
+  const std::map<std::string, int (*)(const Args&)> commands{
+      {"gen", cmd_gen},
+      {"info", cmd_info},
+      {"run", cmd_run},
+      {"compare", cmd_compare}};
+  if (const auto it = commands.find(command); it != commands.end()) {
+    const Args args = Args::parse(command, argc - 1, argv + 1);
+    try {
+      return it->second(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   std::fprintf(stderr,
                "usage: abrrlab gen|info|run|compare [--flags]\n"
@@ -236,7 +256,7 @@ int main(int argc, char** argv) {
                "--trace-seconds=S --rate=EPS]\n"
                "  info    --in=F\n"
                "  run     --in=F --mode=abrr|tbrr|mesh [--aps=N "
-               "--balanced --seed=N]\n"
-               "  compare --in=F [--aps=N --seed=N]\n");
+               "--balanced --seed=N --pops=N]\n"
+               "  compare --in=F [--aps=N --balanced --seed=N --pops=N]\n");
   return 2;
 }

@@ -11,11 +11,9 @@
 //
 //   $ ./tier1_abrr [--prefixes=N]
 #include <cstdio>
-#include <cstring>
-#include <memory>
 
-#include "harness/testbed.h"
-#include "trace/regenerator.h"
+#include "runner/arg_parser.h"
+#include "runner/trial.h"
 #include "verify/efficiency.h"
 #include "verify/equivalence.h"
 #include "verify/forwarding.h"
@@ -23,52 +21,42 @@
 using namespace abrr;
 
 int main(int argc, char** argv) {
-  std::size_t n_prefixes = 2000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--prefixes=", 11) == 0) {
-      n_prefixes = std::strtoull(argv[i] + 11, nullptr, 10);
-    }
+  unsigned long n_prefixes = 2000;
+  runner::ArgParser parser{"tier1_abrr"};
+  parser.add("prefixes", "peer prefixes in the synthetic RIB", &n_prefixes);
+  parser.parse(argc, argv);
+
+  constexpr std::uint64_t kSeed = 7;
+  runner::ScenarioSpec spec;
+  spec.topology.peering_skew = 1.0;
+  spec.workload.prefixes = n_prefixes;
+  spec.workload.snapshot_seconds = 20;
+  spec.abrr.num_aps = 8;
+  {
+    sim::Rng rng{kSeed};
+    const auto topology = runner::make_trial_topology(spec.topology, rng);
+    std::printf("Tier-1 AS: %zu routers, %zu eBGP peering points, %zu"
+                " prefixes\n\n",
+                topology.clients.size(), topology.peering_points.size(),
+                n_prefixes);
   }
 
-  sim::Rng rng{7};
-  topo::TopologyParams tp;
-  tp.pops = 13;
-  tp.clients_per_pop = 8;
-  tp.peering_router_fraction = 1.0;
-  tp.peer_ases = 25;
-  tp.peering_points_per_as = 8;
-  const auto topology = topo::make_tier1(tp, rng);
-
-  trace::WorkloadParams wp;
-  wp.prefixes = n_prefixes;
-  const auto workload = trace::Workload::generate(wp, topology, rng);
-  const auto prefixes = workload.prefixes();
-  std::printf("Tier-1 AS: %zu routers, %zu eBGP peering points, %zu"
-              " prefixes\n\n",
-              topology.clients.size(), topology.peering_points.size(),
-              n_prefixes);
-
   const auto build = [&](ibgp::IbgpMode mode) {
-    harness::TestbedOptions o;
-    o.mode = mode;
-    o.num_aps = 8;
-    o.mrai = sim::sec(5);
-    auto bed = std::make_unique<harness::Testbed>(topology, o, prefixes);
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
-    regen.load_snapshot(0, sim::sec(20));
-    bed->run_to_quiescence();
-    return bed;
+    spec.mode = mode;
+    return runner::build_world(spec, kSeed);
   };
 
   std::printf("loading the snapshot under full-mesh iBGP...\n");
-  auto mesh = build(ibgp::IbgpMode::kFullMesh);
+  const runner::World mesh_world = build(ibgp::IbgpMode::kFullMesh);
+  const auto& mesh = mesh_world.bed;
   std::printf("  %zu iBGP sessions, converged at t=%.1fs\n\n",
               mesh->session_count(),
               sim::to_seconds(mesh->scheduler().now()));
 
   std::printf("loading the same snapshot under ABRR (8 APs x 2 ARRs)...\n");
-  auto abrr = build(ibgp::IbgpMode::kAbrr);
+  const runner::World abrr_world = build(ibgp::IbgpMode::kAbrr);
+  const auto& abrr = abrr_world.bed;
+  const auto& prefixes = abrr_world.prefixes;
   std::printf("  %zu iBGP sessions, converged at t=%.1fs\n\n",
               abrr->session_count(),
               sim::to_seconds(abrr->scheduler().now()));
@@ -83,7 +71,7 @@ int main(int argc, char** argv) {
   // 2. Data-plane health.
   verify::ForwardingChecker checker{*abrr};
   const auto audit = checker.audit(prefixes);
-  const auto eff = verify::audit_efficiency(*abrr, workload);
+  const auto eff = verify::audit_efficiency(*abrr, abrr_world.workload);
   std::printf("[2] forwarding: %zu walks, %zu delivered, %zu loops; "
               "%zu hot-potato violations\n",
               audit.checked, audit.delivered, audit.loops,

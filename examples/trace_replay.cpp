@@ -8,6 +8,7 @@
 #include <string>
 
 #include "harness/testbed.h"
+#include "runner/trial.h"
 #include "trace/mrt.h"
 #include "trace/regenerator.h"
 
@@ -19,17 +20,15 @@ int main(int argc, char** argv) {
 
   // 1. Synthesize and persist.
   sim::Rng rng{3};
-  topo::TopologyParams tp;
-  tp.pops = 8;
-  tp.clients_per_pop = 6;
-  tp.peering_router_fraction = 1.0;
-  tp.peer_ases = 15;
-  tp.peering_points_per_as = 5;
-  const auto topology = topo::make_tier1(tp, rng);
-
-  trace::WorkloadParams wp;
-  wp.prefixes = 1000;
-  const auto workload = trace::Workload::generate(wp, topology, rng);
+  const auto topology = runner::make_trial_topology(
+      {.pops = 8,
+       .clients_per_pop = 6,
+       .peer_ases = 15,
+       .points_per_as = 5,
+       .peering_skew = 1.0},
+      rng);
+  const auto workload =
+      runner::make_trial_workload({.prefixes = 1000}, topology, rng);
 
   trace::TraceParams tparams;
   tparams.duration = sim::sec(90);
@@ -46,11 +45,12 @@ int main(int argc, char** argv) {
               file.workload.prefix_count(), file.trace.events().size(),
               sim::to_seconds(file.trace.duration()));
 
-  // 3. Replay against an ABRR testbed.
-  harness::TestbedOptions options;
-  options.mode = ibgp::IbgpMode::kAbrr;
-  options.num_aps = 8;
-  harness::Testbed bed{topology, options, file.workload.prefixes()};
+  // 3. Replay against an ABRR testbed (built here, not through
+  //    runner::build_world, because its workload comes from the file).
+  harness::TestbedConfig config;
+  config.mode = ibgp::IbgpMode::kAbrr;
+  config.abrr.num_aps = 8;
+  harness::Testbed bed{topology, config, file.workload.prefixes()};
   trace::RouteRegenerator regen{bed.scheduler(), file.workload,
                                 bed.inject_fn()};
 

@@ -7,41 +7,38 @@
 //
 //   $ ./transition_demo
 #include <cstdio>
-#include <memory>
+#include <optional>
 
 #include "core/transition.h"
-#include "harness/testbed.h"
-#include "trace/regenerator.h"
+#include "runner/trial.h"
 #include "verify/equivalence.h"
 
 using namespace abrr;
 
 int main() {
-  sim::Rng rng{11};
-  topo::TopologyParams tp;
-  tp.pops = 6;
-  tp.clients_per_pop = 5;
-  tp.peer_ases = 10;
-  tp.peering_points_per_as = 4;
-  const auto topology = topo::make_tier1(tp, rng);
-  trace::WorkloadParams wp;
-  wp.prefixes = 500;
-  const auto workload = trace::Workload::generate(wp, topology, rng);
-  const auto prefixes = workload.prefixes();
-
   constexpr std::size_t kAps = 4;
-  harness::TestbedOptions options;
-  options.mode = ibgp::IbgpMode::kDual;  // both planes wired
-  options.num_aps = kAps;
-  options.mrai = sim::sec(5);
+  runner::ScenarioSpec spec;
+  spec.mode = ibgp::IbgpMode::kDual;  // both planes wired
+  spec.topology = {.pops = 6,
+                   .clients_per_pop = 5,
+                   .peer_ases = 10,
+                   .points_per_as = 4,
+                   .peering_router_fraction = 0.5,
+                   .peering_skew = 1.0};
+  spec.workload.prefixes = 500;
+  spec.workload.snapshot_seconds = 10;
+  spec.abrr.num_aps = kAps;
 
-  harness::Testbed bed{topology, options, prefixes};
-  core::TransitionController controller{*bed.partition()};
-  for (const auto id : bed.all_ids()) controller.attach(bed.speaker(id));
-
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec(10));
-  bed.run_to_quiescence();
+  // The controller attaches before the snapshot load so every speaker
+  // starts with the TBRR plane active.
+  std::optional<core::TransitionController> controller;
+  const runner::World dual =
+      runner::build_world(spec, 11, [&](harness::Testbed& bed) {
+        controller.emplace(*bed.partition());
+        for (const auto id : bed.all_ids()) controller->attach(bed.speaker(id));
+      });
+  harness::Testbed& bed = *dual.bed;
+  const auto& prefixes = dual.prefixes;
 
   const auto reachable_pairs = [&] {
     std::size_t n = 0;
@@ -61,24 +58,19 @@ int main() {
 
   for (ibgp::ApId ap = 0; ap < static_cast<ibgp::ApId>(kAps); ++ap) {
     std::printf("cutting over AP %d -> ABRR ... ", ap);
-    controller.cutover(ap);
+    controller->cutover(ap);
     bed.run_to_quiescence();
     const std::size_t ok = reachable_pairs();
     std::printf("converged, %zu/%zu pairs reachable%s\n", ok, full,
                 ok == full ? "" : "  <-- SERVICE LOSS");
   }
   std::printf("\ntransition complete: %s\n",
-              controller.complete() ? "all APs on ABRR" : "INCOMPLETE");
+              controller->complete() ? "all APs on ABRR" : "INCOMPLETE");
 
   // Cross-check against a from-scratch pure ABRR deployment.
-  harness::TestbedOptions pure = options;
-  pure.mode = ibgp::IbgpMode::kAbrr;
-  harness::Testbed abrr{topology, pure, prefixes};
-  trace::RouteRegenerator regen2{abrr.scheduler(), workload,
-                                 abrr.inject_fn()};
-  regen2.load_snapshot(0, sim::sec(10));
-  abrr.run_to_quiescence();
-  const auto eq = verify::compare_loc_ribs(bed, abrr, prefixes);
+  spec.mode = ibgp::IbgpMode::kAbrr;
+  const runner::World pure = runner::build_world(spec, 11);
+  const auto eq = verify::compare_loc_ribs(bed, *pure.bed, prefixes);
   std::printf("route selection vs pure ABRR: %zu/%zu pairs diverge\n",
               eq.divergence_count, eq.compared);
   std::printf("TBRR can now be deconfigured (the dual plane kept\n");

@@ -1,7 +1,7 @@
-// Nested testbed configuration: the grouped form of the historical flat
-// TestbedOptions. ScenarioSpec (src/runner) embeds these sub-structs
-// directly; TestbedOptions (harness/testbed.h) remains as a thin flat
-// adapter over TestbedConfig so existing call sites compile unchanged.
+// Testbed configuration: TestbedConfig is the one options type a
+// Testbed consumes. ScenarioSpec (src/runner) embeds the same
+// sub-structs and derives a TestbedConfig per trial
+// (ScenarioSpec::testbed_config), so every knob is spelled once.
 #pragma once
 
 #include <cstddef>

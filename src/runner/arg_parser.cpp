@@ -42,20 +42,28 @@ bool parse_bool(std::string_view text, bool* out) {
   return false;
 }
 
+std::string format_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
 }  // namespace
 
 void ArgParser::add_flag(std::string name, std::string help, bool is_bool,
+                         std::string default_value,
                          std::function<bool(std::string_view)> set) {
   Flag f;
   f.name = std::move(name);
   f.help = std::move(help);
+  if (!default_value.empty()) f.help += " (default " + default_value + ")";
   f.is_bool = is_bool;
   f.set = std::move(set);
   flags_.push_back(std::move(f));
 }
 
 void ArgParser::add(std::string name, std::string help, std::string* out) {
-  add_flag(std::move(name), std::move(help), false,
+  add_flag(std::move(name), std::move(help), false, *out,
            [out](std::string_view v) {
              *out = std::string{v};
              return true;
@@ -63,12 +71,12 @@ void ArgParser::add(std::string name, std::string help, std::string* out) {
 }
 
 void ArgParser::add(std::string name, std::string help, double* out) {
-  add_flag(std::move(name), std::move(help), false,
+  add_flag(std::move(name), std::move(help), false, format_double(*out),
            [out](std::string_view v) { return parse_f64(v, out); });
 }
 
 void ArgParser::add(std::string name, std::string help, unsigned long* out) {
-  add_flag(std::move(name), std::move(help), false,
+  add_flag(std::move(name), std::move(help), false, std::to_string(*out),
            [out](std::string_view v) {
              std::uint64_t n = 0;
              if (!parse_u64(v, &n)) return false;
@@ -79,7 +87,7 @@ void ArgParser::add(std::string name, std::string help, unsigned long* out) {
 
 void ArgParser::add(std::string name, std::string help,
                     unsigned long long* out) {
-  add_flag(std::move(name), std::move(help), false,
+  add_flag(std::move(name), std::move(help), false, std::to_string(*out),
            [out](std::string_view v) {
              std::uint64_t n = 0;
              if (!parse_u64(v, &n)) return false;
@@ -89,7 +97,7 @@ void ArgParser::add(std::string name, std::string help,
 }
 
 void ArgParser::add(std::string name, std::string help, std::uint32_t* out) {
-  add_flag(std::move(name), std::move(help), false,
+  add_flag(std::move(name), std::move(help), false, std::to_string(*out),
            [out](std::string_view v) {
              std::uint64_t n = 0;
              if (!parse_u64(v, &n) || n > 0xffffffffull) return false;
@@ -100,7 +108,11 @@ void ArgParser::add(std::string name, std::string help, std::uint32_t* out) {
 
 void ArgParser::add(std::string name, std::string help,
                     std::vector<std::uint64_t>* out) {
-  add_flag(std::move(name), std::move(help), false,
+  std::string shown;
+  for (const std::uint64_t v : *out) {
+    shown += (shown.empty() ? "" : ",") + std::to_string(v);
+  }
+  add_flag(std::move(name), std::move(help), false, std::move(shown),
            [out](std::string_view v) {
              std::vector<std::uint64_t> parsed;
              while (!v.empty()) {
@@ -119,7 +131,7 @@ void ArgParser::add(std::string name, std::string help,
 }
 
 void ArgParser::add(std::string name, std::string help, bool* out) {
-  add_flag(std::move(name), std::move(help), true,
+  add_flag(std::move(name), std::move(help), true, *out ? "true" : "",
            [out](std::string_view v) {
              if (v.empty()) {  // bare --flag
                *out = true;

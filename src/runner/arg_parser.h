@@ -23,7 +23,8 @@ class ArgParser {
   explicit ArgParser(std::string program) : program_(std::move(program)) {}
 
   /// Declares `--name=VALUE`. The destination keeps its current value
-  /// (the default shown in --help) when the flag is absent.
+  /// when the flag is absent; --help shows that value as the default
+  /// (empty strings, empty lists and false show none).
   void add(std::string name, std::string help, std::string* out);
   void add(std::string name, std::string help, double* out);
   void add(std::string name, std::string help, unsigned long* out);
@@ -64,6 +65,7 @@ class ArgParser {
   };
 
   void add_flag(std::string name, std::string help, bool is_bool,
+                std::string default_value,
                 std::function<bool(std::string_view)> set);
   const Flag* find(std::string_view name) const;
 

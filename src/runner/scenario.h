@@ -143,8 +143,8 @@ struct ScenarioSpec {
     return workload.prefixes * 12 + 1024;
   }
 
-  /// Paper defaults (§4 timing: 20us/update processing, 20ms jitter),
-  /// matching the historical bench::paper_options().
+  /// The paper's §4 testbed (2 ARRs per AP, MRAI 5 s, 50 ms + 20 us per
+  /// update processing, 20 ms jitter) at the default 13-PoP scale.
   static ScenarioSpec paper(ibgp::IbgpMode mode, std::size_t num_aps,
                             std::uint64_t seed);
 };

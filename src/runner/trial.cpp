@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -150,6 +152,31 @@ trace::Workload make_trial_workload(const WorkloadOptions& w,
   return trace::Workload::generate(wp, topology, rng);
 }
 
+World build_world(const ScenarioSpec& spec, std::uint64_t seed,
+                  const std::function<void(harness::Testbed&)>& before_load) {
+  World w;
+  sim::Rng rng{seed};
+  topo::Topology topology = make_trial_topology(spec.topology, rng);
+  w.workload = make_trial_workload(spec.workload, topology, rng);
+  w.prefixes = w.workload.prefixes();
+  w.bed = std::make_unique<harness::Testbed>(
+      std::move(topology), spec.testbed_config(seed), w.prefixes);
+  w.regen = std::make_unique<trace::RouteRegenerator>(
+      w.bed->scheduler(), w.workload, w.bed->inject_fn());
+  if (before_load) before_load(*w.bed);
+  const sim::Time load = sim::sec_f(spec.workload.snapshot_seconds);
+  w.regen->load_snapshot(0, load);
+  // Hold-timer beds never quiesce (keepalives tick forever): run to a
+  // generous convergence deadline instead.
+  if (w.bed->config().timing.hold_time > 0) {
+    w.bed->run_until(load + sim::sec(40));
+    w.converged = true;
+  } else {
+    w.converged = w.bed->run_to_quiescence(500'000'000);
+  }
+  return w;
+}
+
 TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                       std::size_t index) {
   TrialResult r;
@@ -166,25 +193,11 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
 
   // Everything below is regenerated from (spec, seed): the trial shares
   // no state with any other trial and never leaves this thread.
-  sim::Rng rng{seed};
-  topo::Topology topology = make_trial_topology(spec.topology, rng);
-  const trace::Workload workload = make_trial_workload(spec.workload, topology, rng);
-  const std::vector<bgp::Ipv4Prefix> prefixes = workload.prefixes();
+  World w = build_world(spec, seed);
+  harness::Testbed& bed = *w.bed;
+  r.converged = w.converged;
 
-  harness::Testbed bed{topology, spec.testbed_config(seed), prefixes};
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
-
-  // Hold-timer beds never quiesce (keepalives tick forever): run to a
-  // generous convergence deadline instead, as the fault bench did.
   const bool hold_armed = bed.config().timing.hold_time > 0;
-  if (hold_armed) {
-    bed.run_until(sim::sec_f(spec.workload.snapshot_seconds) + sim::sec(40));
-    r.converged = true;
-  } else {
-    r.converged = bed.run_to_quiescence(500'000'000);
-  }
-
   if (r.converged && spec.workload.trace_seconds > 0) {
     bed.reset_counters();
     trace::TraceParams tparams;
@@ -192,9 +205,9 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
     tparams.events_per_second = spec.workload.trace_events_per_second;
     sim::Rng trace_rng{seed + 1};
     const auto trace =
-        trace::UpdateTrace::generate(tparams, workload, trace_rng);
+        trace::UpdateTrace::generate(tparams, w.workload, trace_rng);
     r.trace_events = trace.events().size();
-    regen.play(trace, bed.scheduler().now());
+    w.regen->play(trace, bed.scheduler().now());
     if (hold_armed) {
       bed.run_until(bed.scheduler().now() +
                     sim::sec_f(spec.workload.trace_seconds) + sim::sec(40));
@@ -204,31 +217,22 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
   }
 
   if (r.converged && spec.fault.enabled) {
-    run_fault_episode(spec, seed, bed, regen, r);
+    run_fault_episode(spec, seed, bed, *w.regen, r);
     if (spec.fault.verify_fullmesh) {
       // An untouched full-mesh reference built from the same
       // (spec, seed), inside this trial so the comparison stays
       // thread-confined.
-      sim::Rng base_rng{seed};
-      topo::Topology base_topology = make_trial_topology(spec.topology, base_rng);
-      const trace::Workload base_workload =
-          make_trial_workload(spec.workload, base_topology, base_rng);
-      const std::vector<bgp::Ipv4Prefix> base_prefixes =
-          base_workload.prefixes();
-      harness::TestbedConfig base_cfg = spec.testbed_config(seed);
-      base_cfg.mode = ibgp::IbgpMode::kFullMesh;
-      base_cfg.multipath = false;
-      base_cfg.timing.hold_time = 0;
-      base_cfg.obs.enabled = false;
-      harness::Testbed baseline{std::move(base_topology), base_cfg,
-                               base_prefixes};
-      trace::RouteRegenerator base_regen{baseline.scheduler(), base_workload,
-                                         baseline.inject_fn()};
-      base_regen.load_snapshot(0,
-                               sim::sec_f(spec.workload.snapshot_seconds));
-      if (baseline.run_to_quiescence(500'000'000)) {
+      ScenarioSpec base = spec;
+      base.mode = ibgp::IbgpMode::kFullMesh;
+      base.multipath = false;
+      base.timing.hold_time = 0;
+      base.fault.enabled = false;
+      base.obs.enabled = false;
+      const World baseline = build_world(base, seed);
+      if (baseline.converged) {
         r.fullmesh_equivalent =
-            verify::compare_loc_ribs(bed, baseline, prefixes).equivalent();
+            verify::compare_loc_ribs(bed, *baseline.bed, w.prefixes)
+                .equivalent();
       }
     }
   }

@@ -8,10 +8,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "harness/testbed.h"
 #include "runner/scenario.h"
+#include "trace/regenerator.h"
 
 namespace abrr::runner {
 
@@ -90,9 +94,36 @@ struct TrialResult {
 TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                       std::size_t index);
 
-/// The spec's deterministic world pieces, exported so the serving mode
-/// (src/serve) regenerates bit-identical worlds from the same
-/// (spec, seed) — its snapshot fingerprints must match batch trials.
+/// One (spec, seed) world with its initial snapshot loaded and
+/// converged: the §4 bed every trial, serving run and bench starts from.
+struct World {
+  trace::Workload workload;
+  std::vector<bgp::Ipv4Prefix> prefixes;  // workload order
+  std::unique_ptr<harness::Testbed> bed;
+  /// Keeps the regenerator alive so callers can replay traces and
+  /// resync faults against the snapshot it loaded.
+  std::unique_ptr<trace::RouteRegenerator> regen;
+  bool converged = false;
+};
+
+/// Builds the world of one (spec, seed): topology and workload from
+/// rng{seed}, the testbed from spec.testbed_config(seed), the snapshot
+/// paced over workload.snapshot_seconds. `before_load` (may be empty)
+/// runs between bed construction and the snapshot load, e.g. to attach
+/// RIB listeners that must see every best-change. A bed with hold
+/// timers armed never quiesces, so it runs to snapshot_seconds + 40 s
+/// and counts as converged; every other bed runs to quiescence (500M
+/// event cap). The only place the build sequence is written down:
+/// run_trial, its full-mesh reference, the serving mode and the benches
+/// that drive a converged bed all come through here, so equal
+/// (spec, seed) means equal worlds.
+World build_world(
+    const ScenarioSpec& spec, std::uint64_t seed,
+    const std::function<void(harness::Testbed&)>& before_load = {});
+
+/// The spec's deterministic world pieces, for callers that need the
+/// topology or workload without a converged bed (analysis overlays,
+/// custom workloads, timed set-up phases).
 topo::Topology make_trial_topology(const TopologyOptions& t, sim::Rng& rng);
 trace::Workload make_trial_workload(const WorkloadOptions& w,
                                     const topo::Topology& topology,

@@ -6,7 +6,6 @@
 #include <ctime>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -32,40 +31,25 @@ std::uint64_t now_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-/// One deterministic serving world: the same (spec, seed) construction
-/// sequence as runner::run_trial, shared verbatim by the writer thread
-/// and the batch comparator so their virtual states are bit-identical.
-struct World {
-  std::optional<trace::Workload> workload;
-  std::vector<bgp::Ipv4Prefix> prefixes;
-  std::unique_ptr<harness::Testbed> bed;
-  std::unique_ptr<trace::RouteRegenerator> regen;
+/// A serving world: the batch trial's runner::World plus the churn
+/// plan's additions, so writer, batch comparator and run_trial all
+/// start from bit-identical virtual states.
+struct ServingWorld {
+  runner::World base;
   std::unique_ptr<fault::FaultInjector> injector;
   sim::Time t0 = 0;     // virtual clock at convergence
   sim::Time t_end = 0;  // churn horizon
-  bool converged = false;
 };
 
-/// Builds and converges the world. `before_load` runs between bed
-/// construction and the snapshot load — the writer attaches its RIB
-/// listener there so the mirror sees every best-change from the start
-/// (no post-hoc RIB scan).
-World build_world(const runner::ScenarioSpec& spec, std::uint64_t seed,
-                  const std::function<void(harness::Testbed&)>& before_load) {
-  World w;
-  sim::Rng rng{seed};
-  topo::Topology topology = runner::make_trial_topology(spec.topology, rng);
-  w.workload.emplace(
-      runner::make_trial_workload(spec.workload, topology, rng));
-  w.prefixes = w.workload->prefixes();
-  w.bed = std::make_unique<harness::Testbed>(
-      std::move(topology), spec.testbed_config(seed), w.prefixes);
-  w.regen = std::make_unique<trace::RouteRegenerator>(
-      w.bed->scheduler(), *w.workload, w.bed->inject_fn());
-  if (before_load) before_load(*w.bed);
-  w.regen->load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
-  w.converged = w.bed->run_to_quiescence(500'000'000);
-  w.t0 = w.bed->scheduler().now();
+/// Builds and converges the world (runner::build_world; `before_load`
+/// is where the writer attaches its RIB listener so the mirror sees
+/// every best-change from the start, no post-hoc RIB scan).
+ServingWorld build_serving_world(
+    const runner::ScenarioSpec& spec, std::uint64_t seed,
+    const std::function<void(harness::Testbed&)>& before_load) {
+  ServingWorld w;
+  w.base = runner::build_world(spec, seed, before_load);
+  w.t0 = w.base.bed->scheduler().now();
   w.t_end = w.t0 + sim::sec_f(spec.serve.churn_seconds);
   return w;
 }
@@ -76,7 +60,7 @@ World build_world(const runner::ScenarioSpec& spec, std::uint64_t seed,
 /// serving beds (explicit session events need no hold timers; a crash
 /// would go undetected forever).
 void arm_churn(const runner::ScenarioSpec& spec, std::uint64_t seed,
-               World& w) {
+               ServingWorld& w) {
   const runner::ServeOptions& so = spec.serve;
   if (so.churn_events_per_second > 0) {
     trace::TraceParams tp;
@@ -84,8 +68,8 @@ void arm_churn(const runner::ScenarioSpec& spec, std::uint64_t seed,
     tp.events_per_second = so.churn_events_per_second;
     sim::Rng trace_rng{seed + 2};
     const trace::UpdateTrace trace =
-        trace::UpdateTrace::generate(tp, *w.workload, trace_rng);
-    w.regen->play(trace, w.t0);
+        trace::UpdateTrace::generate(tp, w.base.workload, trace_rng);
+    w.base.regen->play(trace, w.t0);
   }
   if (so.chaos_events > 0) {
     fault::ChaosParams cp;
@@ -96,11 +80,12 @@ void arm_churn(const runner::ScenarioSpec& spec, std::uint64_t seed,
     cp.crash_weight = 0;
     cp.link_weight = 0;
     sim::Rng chaos_rng{seed + 3};
+    harness::Testbed& bed = *w.base.bed;
     fault::FaultSchedule schedule = fault::FaultSchedule::chaos(
-        cp, w.bed->all_ids(), w.bed->network().sessions(), chaos_rng);
+        cp, bed.all_ids(), bed.network().sessions(), chaos_rng);
     w.injector =
-        std::make_unique<fault::FaultInjector>(*w.bed, std::move(schedule));
-    w.injector->set_resync(fault::make_workload_resync(*w.bed, *w.regen));
+        std::make_unique<fault::FaultInjector>(bed, std::move(schedule));
+    w.injector->set_resync(fault::make_workload_resync(bed, *w.base.regen));
     w.injector->arm();
   }
 }
@@ -312,18 +297,19 @@ bool RouteService::try_publish(WriterState& ws, sim::Time now) {
 void RouteService::writer_main() {
   try {
     bgp::AttrsInterner::TrialScope attrs_scope{spec_.expected_attr_blocks()};
-    WriterState ws;  // declared before World: speaker hooks point into it
-    World w = build_world(spec_, seed_, [&ws](harness::Testbed& bed) {
+    WriterState ws;  // declared before the world: speaker hooks point into it
+    const auto attach = [&ws](harness::Testbed& bed) {
       ws.init(bed);
       bed.attach_rib_listener(
           [&ws](bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
                 const bgp::Route* best) { ws.on_change(id, prefix, best); },
           [&ws](bgp::RouterId id) { ws.on_cleared(id); });
-    });
-    if (!w.converged) {
+    };
+    ServingWorld w = build_serving_world(spec_, seed_, attach);
+    if (!w.base.converged) {
       throw std::runtime_error{"serve: initial convergence did not quiesce"};
     }
-    obs::MetricsRegistry& reg = w.bed->metrics();
+    obs::MetricsRegistry& reg = w.base.bed->metrics();
     ws.g_version = reg.gauge("serve.version");
     ws.g_epoch = reg.gauge("serve.published_epoch");
     ws.g_pending = reg.gauge("serve.retired_snapshots");
@@ -345,7 +331,7 @@ void RouteService::writer_main() {
     sim::Time now = w.t0;
     while (!stop_.load(std::memory_order_acquire) && now < w.t_end) {
       now = std::min<sim::Time>(now + step, w.t_end);
-      w.bed->run_until(now);
+      w.base.bed->run_until(now);
       if (ws.any_dirty) try_publish(ws, now);
     }
     // Stamp the horizon state unconditionally (a clean republish is
@@ -470,13 +456,13 @@ std::uint64_t batch_fingerprint_at(const runner::ScenarioSpec& spec0,
   runner::ScenarioSpec spec = spec0;
   spec.serve.enabled = true;
   bgp::AttrsInterner::TrialScope attrs_scope{spec.expected_attr_blocks()};
-  World w = build_world(spec, seed, nullptr);
-  if (!w.converged) {
+  ServingWorld w = build_serving_world(spec, seed, nullptr);
+  if (!w.base.converged) {
     throw std::runtime_error{"batch_fingerprint_at: no quiescence"};
   }
   arm_churn(spec, seed, w);
-  if (at > w.t0) w.bed->run_until(at);
-  return fault::rib_fingerprint(*w.bed);
+  if (at > w.t0) w.base.bed->run_until(at);
+  return fault::rib_fingerprint(*w.base.bed);
 }
 
 sim::Time batch_converged_time(const runner::ScenarioSpec& spec0,
@@ -484,8 +470,8 @@ sim::Time batch_converged_time(const runner::ScenarioSpec& spec0,
   runner::ScenarioSpec spec = spec0;
   spec.serve.enabled = true;
   bgp::AttrsInterner::TrialScope attrs_scope{spec.expected_attr_blocks()};
-  World w = build_world(spec, seed, nullptr);
-  if (!w.converged) {
+  ServingWorld w = build_serving_world(spec, seed, nullptr);
+  if (!w.base.converged) {
     throw std::runtime_error{"batch_converged_time: no quiescence"};
   }
   return w.t0;

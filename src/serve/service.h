@@ -282,7 +282,8 @@ class RouteService {
 };
 
 /// Batch-mode comparator for the snapshot-consistency contract: builds
-/// the identical world from (spec, seed), converges it, arms the
+/// the identical world from (spec, seed) through runner::build_world,
+/// as the writer and run_trial do, converges it, arms the
 /// identical churn plan, runs ONE run_until to the absolute virtual
 /// time `at`, and returns fault::rib_fingerprint of the bed. A
 /// snapshot published at virtual_time T must carry exactly

@@ -8,9 +8,9 @@ namespace {
 
 using bgp::Ipv4Prefix;
 
-class TestbedOptionsTest : public ::testing::Test {
+class TestbedWiringTest : public ::testing::Test {
  protected:
-  TestbedOptionsTest() {
+  TestbedWiringTest() {
     sim::Rng rng{3};
     topo::TopologyParams tp;
     tp.pops = 3;
@@ -26,10 +26,10 @@ class TestbedOptionsTest : public ::testing::Test {
   std::vector<Ipv4Prefix> prefixes;
 };
 
-TEST_F(TestbedOptionsTest, AbrrCreatesExtraArrNodesWhenPoolIsShort) {
-  TestbedOptions o;
+TEST_F(TestbedWiringTest, AbrrCreatesExtraArrNodesWhenPoolIsShort) {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 8;  // needs 16 ARRs; the topology has only 6 boxes
+  o.abrr.num_aps = 8;  // needs 16 ARRs; the topology has only 6 boxes
   Testbed bed{topology, o, prefixes};
   EXPECT_EQ(bed.rr_ids().size(), 16u);
   // Every ARR id resolves to a speaker managing exactly one AP.
@@ -43,8 +43,8 @@ TEST_F(TestbedOptionsTest, AbrrCreatesExtraArrNodesWhenPoolIsShort) {
   for (const int n : per_ap) EXPECT_EQ(n, 2);
 }
 
-TEST_F(TestbedOptionsTest, TbrrUsesTopologyReflectorBoxes) {
-  TestbedOptions o;
+TEST_F(TestbedWiringTest, TbrrUsesTopologyReflectorBoxes) {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kTbrr;
   Testbed bed{topology, o, prefixes};
   EXPECT_EQ(bed.rr_ids().size(), topology.reflectors.size());
@@ -54,8 +54,8 @@ TEST_F(TestbedOptionsTest, TbrrUsesTopologyReflectorBoxes) {
   }
 }
 
-TEST_F(TestbedOptionsTest, FullMeshHasNoRrsAndAllPairs) {
-  TestbedOptions o;
+TEST_F(TestbedWiringTest, FullMeshHasNoRrsAndAllPairs) {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kFullMesh;
   Testbed bed{topology, o, prefixes};
   EXPECT_TRUE(bed.rr_ids().empty());
@@ -63,11 +63,11 @@ TEST_F(TestbedOptionsTest, FullMeshHasNoRrsAndAllPairs) {
   EXPECT_EQ(bed.session_count(), n * (n - 1) / 2);
 }
 
-TEST_F(TestbedOptionsTest, BalancedPartitionIsUsed) {
-  TestbedOptions o;
+TEST_F(TestbedWiringTest, BalancedPartitionIsUsed) {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 4;
-  o.balanced_aps = true;
+  o.abrr.num_aps = 4;
+  o.abrr.balanced_aps = true;
   Testbed bed{topology, o, prefixes};
   const auto* partition = bed.partition();
   ASSERT_NE(partition, nullptr);
@@ -78,10 +78,10 @@ TEST_F(TestbedOptionsTest, BalancedPartitionIsUsed) {
   }
 }
 
-TEST_F(TestbedOptionsTest, DualWiresBothPlanes) {
-  TestbedOptions o;
+TEST_F(TestbedWiringTest, DualWiresBothPlanes) {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kDual;
-  o.num_aps = 2;
+  o.abrr.num_aps = 2;
   Testbed bed{topology, o, prefixes};
   // Clients peer with 2 TRRs + 4 ARRs.
   for (const auto id : bed.client_ids()) {
@@ -91,11 +91,11 @@ TEST_F(TestbedOptionsTest, DualWiresBothPlanes) {
   EXPECT_EQ(bed.rr_ids().size(), topology.reflectors.size() + 4u);
 }
 
-TEST_F(TestbedOptionsTest, InjectFnRoutesToTheRightSpeaker) {
-  TestbedOptions o;
+TEST_F(TestbedWiringTest, InjectFnRoutesToTheRightSpeaker) {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kFullMesh;
-  o.mrai = 0;
-  o.proc_delay = sim::msec(1);
+  o.timing.mrai = 0;
+  o.timing.proc_delay = sim::msec(1);
   Testbed bed{topology, o, prefixes};
   const auto inject = bed.inject_fn();
   const auto client = bed.client_ids().front();

@@ -91,7 +91,7 @@ TEST(ArgParser, PassthroughPrefixIsIgnored) {
 
 TEST(ArgParser, HelpIsReported) {
   ArgParser p{"prog"};
-  std::size_t n = 0;
+  std::size_t n = 7;
   p.add("n", "the n flag", &n);
   const auto argv = argv_of({"--help"});
   std::string error;
@@ -100,7 +100,7 @@ TEST(ArgParser, HelpIsReported) {
   EXPECT_TRUE(p.help_requested());
   EXPECT_TRUE(error.empty());
   EXPECT_NE(p.usage().find("--n=VALUE"), std::string::npos);
-  EXPECT_NE(p.usage().find("the n flag"), std::string::npos);
+  EXPECT_NE(p.usage().find("the n flag (default 7)"), std::string::npos);
 }
 
 TEST(ArgParser, AbsentFlagKeepsDefault) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "runner/scenario.h"
+#include "runner/trial.h"
 
 namespace abrr::serve {
 namespace {
@@ -107,6 +108,24 @@ TEST(RouteService, SnapshotsMatchBatchRunsAtSameVirtualTime) {
       EXPECT_EQ(batch_fingerprint_at(spec, kSeed, at), fp)
           << "virtual_time=" << at;
     }
+  }
+}
+
+// Serving and batch trials build their worlds through the same
+// runner::build_world: at the converged time, before any churn, the
+// serving comparator's bed is the batch trial's bed.
+TEST(RouteService, ConvergedWorldIsTheBatchTrialWorld) {
+  constexpr std::uint64_t kSeed = 11;
+  for (const ibgp::IbgpMode mode : modes_under_test()) {
+    const runner::ScenarioSpec spec = serve_tiny(mode);
+    SCOPED_TRACE(spec.name);
+    ASSERT_FALSE(spec.fault.enabled);
+    ASSERT_EQ(spec.workload.trace_seconds, 0.0);
+    const runner::TrialResult trial = runner::run_trial(spec, kSeed, 0);
+    ASSERT_TRUE(trial.converged);
+    EXPECT_EQ(batch_fingerprint_at(spec, kSeed,
+                                   batch_converged_time(spec, kSeed)),
+              trial.fingerprint);
   }
 }
 
