@@ -13,6 +13,7 @@
 #include <ctime>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace abrr::frontend {
@@ -33,11 +34,7 @@ std::uint64_t now_ns() {
 }  // namespace
 
 Server::Server(serve::RouteService& service, ServerOptions options)
-    : service_(&service),
-      options_(options),
-      batch_size_hist_(obs::size_buckets()),
-      handle_ns_hist_(obs::latency_buckets_ns()),
-      reply_bytes_hist_(obs::byte_buckets()) {}
+    : service_(&service), options_(options) {}
 
 Server::~Server() { stop(); }
 
@@ -69,6 +66,29 @@ void Server::start() {
 
   if (::pipe2(wake_fds_, O_NONBLOCK) < 0) throw_errno("frontend: pipe2");
 
+  obs::MetricsRegistry& reg = service_->metrics();
+  const obs::Labels labels{{"server", std::to_string(port_)}};
+  const auto c = [&](std::string_view name) {
+    return reg.counter(name, labels);
+  };
+  m_ = Cells{
+      .accepted = c("frontend.accepted"),
+      .rejected_full = c("frontend.rejected_full"),
+      .closed = c("frontend.closed"),
+      .dropped_proto = c("frontend.dropped_proto"),
+      .dropped_slow = c("frontend.dropped_slow"),
+      .lookups = c("frontend.lookups"),
+      .bytes_in = c("frontend.bytes_in"),
+      .bytes_out = c("frontend.bytes_out"),
+      .active = reg.gauge("frontend.active", labels),
+      .batch_size =
+          reg.histogram("frontend.batch_size", obs::size_buckets(), labels),
+      .handle_ns = reg.histogram("frontend.handle_ns",
+                                 obs::latency_buckets_ns(), labels),
+      .reply_bytes =
+          reg.histogram("frontend.reply_bytes", obs::byte_buckets(), labels),
+  };
+
   started_ = true;
   stop_.store(false, std::memory_order_release);
   loop_ = std::thread([this] { loop_main(); });
@@ -89,34 +109,24 @@ void Server::stop() {
 }
 
 ServerStats Server::stats() const {
+  if (m_.accepted == nullptr) return {};
   ServerStats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.rejected_full = rejected_full_.load(std::memory_order_relaxed);
-  s.closed = closed_.load(std::memory_order_relaxed);
-  s.dropped_proto = dropped_proto_.load(std::memory_order_relaxed);
-  s.dropped_slow = dropped_slow_.load(std::memory_order_relaxed);
-  s.frames = frames_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  s.active = active_.load(std::memory_order_relaxed);
+  s.accepted = m_.accepted->value();
+  s.rejected_full = m_.rejected_full->value();
+  s.closed = m_.closed->value();
+  s.dropped_proto = m_.dropped_proto->value();
+  s.dropped_slow = m_.dropped_slow->value();
+  s.frames = m_.handle_ns->count();
+  s.batches = m_.batch_size->count();
+  s.lookups = m_.lookups->value();
+  s.bytes_in = m_.bytes_in->value();
+  s.bytes_out = m_.bytes_out->value();
+  s.active = static_cast<std::uint64_t>(m_.active->value());
   return s;
 }
 
-obs::Histogram Server::batch_size_hist() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return batch_size_hist_;
-}
-
 obs::Histogram Server::handle_ns_hist() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return handle_ns_hist_;
-}
-
-obs::Histogram Server::reply_bytes_hist() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return reply_bytes_hist_;
+  return m_.handle_ns != nullptr ? *m_.handle_ns : obs::Histogram{};
 }
 
 void Server::loop_main() {
@@ -161,7 +171,7 @@ void Server::loop_main() {
       if (revents == 0) continue;
       bool alive = true;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        closed_.fetch_add(1, std::memory_order_relaxed);
+        m_.closed->inc();
         alive = false;
       }
       if (alive && (revents & POLLIN)) alive = read_ready(conn, reader);
@@ -182,7 +192,7 @@ void Server::accept_ready() {
       return;  // transient accept failure; retry on the next poll round
     }
     if (conns_.size() >= options_.max_connections) {
-      rejected_full_.fetch_add(1, std::memory_order_relaxed);
+      m_.rejected_full->inc();
       ::close(fd);
       continue;
     }
@@ -191,8 +201,8 @@ void Server::accept_ready() {
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conns_.push_back(std::move(conn));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_.fetch_add(1, std::memory_order_relaxed);
+    m_.accepted->inc();
+    m_.active->set(static_cast<double>(conns_.size()));
   }
 }
 
@@ -201,17 +211,16 @@ bool Server::read_ready(Conn& conn, serve::RouteService::Reader& reader) {
   for (;;) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n == 0) {
-      closed_.fetch_add(1, std::memory_order_relaxed);
+      m_.closed->inc();
       return false;
     }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      closed_.fetch_add(1, std::memory_order_relaxed);
+      m_.closed->inc();
       return false;
     }
-    bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
-                        std::memory_order_relaxed);
+    m_.bytes_in->inc(static_cast<std::uint64_t>(n));
     // A draining connection's input is discarded: framing is already
     // lost and only the pending ERROR flush matters.
     if (!conn.draining) {
@@ -290,13 +299,11 @@ bool Server::handle_frame(Conn& conn, const Frame& frame,
       reply.snapshot_version = svc.version;
       reply.fingerprint = svc.fingerprint;
       reply.publishes = svc.publishes;
-      reply.lookups_served = lookups_.load(std::memory_order_relaxed);
-      reply.batches_served = batches_.load(std::memory_order_relaxed);
-      reply.connections_accepted =
-          accepted_.load(std::memory_order_relaxed);
+      reply.lookups_served = m_.lookups->value();
+      reply.batches_served = m_.batch_size->count();
+      reply.connections_accepted = m_.accepted->value();
       reply.connections_dropped =
-          dropped_proto_.load(std::memory_order_relaxed) +
-          dropped_slow_.load(std::memory_order_relaxed);
+          m_.dropped_proto->value() + m_.dropped_slow->value();
       append_stats_reply(conn.out, seq, reply);
       break;
     }
@@ -310,7 +317,7 @@ bool Server::handle_frame(Conn& conn, const Frame& frame,
       const std::size_t pending = conn.out.size() - conn.out_off;
       if (pending + lookup_reply_frame_size(reqs_.size()) >
           options_.max_outbox_bytes) {
-        dropped_slow_.fetch_add(1, std::memory_order_relaxed);
+        m_.dropped_slow->inc();
         return false;
       }
       resps_.resize(reqs_.size());
@@ -318,14 +325,10 @@ bool Server::handle_frame(Conn& conn, const Frame& frame,
       const std::size_t out_before = conn.out.size();
       append_lookup_reply(conn.out, seq, res.snapshot_version,
                           res.fingerprint, resps_);
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      lookups_.fetch_add(reqs_.size(), std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock{hist_mutex_};
-        batch_size_hist_.record(static_cast<double>(reqs_.size()));
-        reply_bytes_hist_.record(
-            static_cast<double>(conn.out.size() - out_before));
-      }
+      m_.lookups->inc(reqs_.size());
+      m_.batch_size->record(static_cast<double>(reqs_.size()));
+      m_.reply_bytes->record(
+          static_cast<double>(conn.out.size() - out_before));
       break;
     }
     case FrameType::kHelloAck:
@@ -337,17 +340,13 @@ bool Server::handle_frame(Conn& conn, const Frame& frame,
           ProtoError{ProtoErrorCode::kUnexpectedType, 5,
                      "reply-only frame type sent to the server"});
   }
-  frames_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock{hist_mutex_};
-    handle_ns_hist_.record(static_cast<double>(now_ns() - t_begin));
-  }
+  m_.handle_ns->record(static_cast<double>(now_ns() - t_begin));
   return true;
 }
 
 bool Server::protocol_error(Conn& conn, std::uint16_t seq,
                             const ProtoError& err) {
-  dropped_proto_.fetch_add(1, std::memory_order_relaxed);
+  m_.dropped_proto->inc();
   append_error(conn.out, seq, err.code, err.detail);
   conn.draining = true;
   // Flush what we can right away; if the socket blocks, the poll loop
@@ -366,8 +365,7 @@ bool Server::write_ready(Conn& conn) {
       return false;  // peer vanished mid-write
     }
     conn.out_off += static_cast<std::size_t>(n);
-    bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                         std::memory_order_relaxed);
+    m_.bytes_out->inc(static_cast<std::uint64_t>(n));
   }
   conn.out.clear();
   conn.out_off = 0;
@@ -378,7 +376,7 @@ void Server::close_conn(std::size_t index) {
   ::close(conns_[index]->fd);
   if (index + 1 < conns_.size()) conns_[index] = std::move(conns_.back());
   conns_.pop_back();
-  active_.fetch_sub(1, std::memory_order_relaxed);
+  m_.active->set(static_cast<double>(conns_.size()));
 }
 
 }  // namespace abrr::frontend

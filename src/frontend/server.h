@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -43,7 +42,8 @@ struct ServerOptions {
   int listen_backlog = 64;
 };
 
-/// Front-end counters, readable from any thread while the loop runs.
+/// Front-end counters, readable from any thread while the loop runs: a
+/// view of the server's frontend.*{server=<port>} registry cells.
 struct ServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t rejected_full = 0;   // over max_connections
@@ -68,9 +68,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds 127.0.0.1:<port>, starts listening, and launches the loop
-  /// thread. Throws std::runtime_error on socket/bind failures. When it
-  /// returns, port() is connectable.
+  /// Binds 127.0.0.1:<port>, registers the frontend.* series labelled
+  /// {server=<port>} in the service's registry, and launches the loop
+  /// thread (their only writer). Throws std::runtime_error on
+  /// socket/bind failures. When it returns, port() is connectable.
   void start();
 
   /// Wakes the loop, closes every connection and the listening socket,
@@ -78,13 +79,13 @@ class Server {
   void stop();
 
   std::uint16_t port() const { return port_; }
+  /// All zero before the first start().
   ServerStats stats() const;
 
-  /// Loop-side histograms (batch sizes, per-frame service time in ns,
-  /// reply frame bytes), copied under a lock.
-  obs::Histogram batch_size_hist() const;
+  /// Per-frame service time in ns (frontend.handle_ns). The batch-size
+  /// and reply-bytes histograms are registry-only (frontend.batch_size,
+  /// frontend.reply_bytes).
   obs::Histogram handle_ns_hist() const;
-  obs::Histogram reply_bytes_hist() const;
 
  private:
   struct Conn {
@@ -125,23 +126,23 @@ class Server {
   std::vector<serve::LookupRequest> reqs_;
   std::vector<serve::LookupResponse> resps_;
 
-  // Stats: loop publishes, anyone reads.
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_full_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> dropped_proto_{0};
-  std::atomic<std::uint64_t> dropped_slow_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> lookups_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> bytes_out_{0};
-  std::atomic<std::uint64_t> active_{0};
-
-  mutable std::mutex hist_mutex_;
-  obs::Histogram batch_size_hist_;
-  obs::Histogram handle_ns_hist_;
-  obs::Histogram reply_bytes_hist_;
+  // Handles into the service's registry, set by start(). Frames and
+  // batches served are the handle_ns and batch_size sample counts.
+  struct Cells {
+    obs::Counter* accepted;
+    obs::Counter* rejected_full;
+    obs::Counter* closed;
+    obs::Counter* dropped_proto;
+    obs::Counter* dropped_slow;
+    obs::Counter* lookups;
+    obs::Counter* bytes_in;
+    obs::Counter* bytes_out;
+    obs::Gauge* active;
+    obs::Histogram* batch_size;   // one sample per LOOKUP_BATCH frame
+    obs::Histogram* handle_ns;    // one sample per well-formed frame
+    obs::Histogram* reply_bytes;
+  };
+  Cells m_{};
 };
 
 }  // namespace abrr::frontend

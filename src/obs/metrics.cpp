@@ -48,67 +48,15 @@ void append_labels_json(std::string& out, const Labels& labels) {
   out += '}';
 }
 
-/// Merged view of the histograms sharing one name (aggregate dumps).
-struct HistAccum {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-
-  void merge(const Histogram& h) {
-    if (buckets.empty()) {
-      bounds = h.bounds();
-      buckets = h.buckets();
-    } else if (bounds == h.bounds()) {
-      for (std::size_t i = 0; i < buckets.size(); ++i) {
-        buckets[i] += h.buckets()[i];
-      }
-    } else {
-      // Same name, different bucketing: keep the first shape and fold
-      // everything into its overflow rather than silently mis-binning.
-      buckets.back() += h.count();
-    }
-    if (count == 0) {
-      min = h.min();
-      max = h.max();
-    } else if (h.count() > 0) {
-      min = std::min(min, h.min());
-      max = std::max(max, h.max());
-    }
-    count += h.count();
-    sum += h.sum();
-  }
-
-  double quantile(double q) const {
-    if (count == 0) return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    const std::uint64_t rank =
-        std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
-                                       q * static_cast<double>(count) + 0.5));
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      cum += buckets[i];
-      if (cum >= rank) {
-        // A bucket bound can exceed the largest observed value; never
-        // report a quantile above the true max.
-        return i < bounds.size() ? std::min(bounds[i], max) : max;
-      }
-    }
-    return max;
-  }
-};
-
-void append_hist_json(std::string& out, const HistAccum& h) {
+void append_hist_json(std::string& out, const Histogram& h) {
   out += "\"count\":";
-  append_u64(out, h.count);
+  append_u64(out, h.count());
   out += ",\"sum\":";
-  append_double(out, h.sum);
+  append_double(out, h.sum());
   out += ",\"min\":";
-  append_double(out, h.min);
+  append_double(out, h.min());
   out += ",\"max\":";
-  append_double(out, h.max);
+  append_double(out, h.max());
   out += ",\"p50\":";
   append_double(out, h.quantile(0.50));
   out += ",\"p95\":";
@@ -116,16 +64,17 @@ void append_hist_json(std::string& out, const HistAccum& h) {
   out += ",\"p99\":";
   append_double(out, h.quantile(0.99));
   out += ",\"buckets\":[";
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+  const std::vector<std::uint64_t> buckets = h.buckets();
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (i) out += ',';
     out += "{\"le\":";
-    if (i < h.bounds.size()) {
-      append_double(out, h.bounds[i]);
+    if (i < h.bounds().size()) {
+      append_double(out, h.bounds()[i]);
     } else {
       out += "\"+inf\"";
     }
     out += ",\"n\":";
-    append_u64(out, h.buckets[i]);
+    append_u64(out, buckets[i]);
     out += '}';
   }
   out += ']';
@@ -178,52 +127,74 @@ Histogram::Histogram(std::vector<double> bounds) {
     throw std::invalid_argument{"histogram: bounds must be ascending"};
   }
   bounds_ = std::move(bounds);
-  buckets_.assign(bounds_.size() + 1, 0);
+  buckets_.resize(bounds_.size() + 1);
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0 && other.bounds_.empty()) return;
+  if (other.count() == 0 && other.bounds_.empty()) return;
   if (buckets_.empty()) {
     bounds_ = other.bounds_;
     buckets_ = other.buckets_;
   } else if (bounds_ == other.bounds_) {
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      buckets_[i] += other.buckets_[i];
+      buckets_[i].add(other.buckets_[i].load());
     }
   } else {
     // Mismatched bucketing: fold into overflow, never silently mis-bin.
-    buckets_.back() += other.count_;
+    buckets_.back().add(other.count());
   }
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
+  const std::uint64_t n = other.count();
+  if (n > 0) {
+    if (count() == 0) {
+      min_.store(other.min_.load());
+      max_.store(other.max_.load());
     } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
+      min_.store(std::min(min_.load(), other.min_.load()));
+      max_.store(std::max(max_.load(), other.max_.load()));
     }
   }
-  count_ += other.count_;
-  sum_ += other.sum_;
+  count_.add(n);
+  sum_.add(other.sum());
 }
 
 void Histogram::record(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0) {
-    min_ = max_ = v;
+  buckets_[static_cast<std::size_t>(it - bounds_.begin())].add(1);
+  const std::uint64_t n = count_.load();
+  if (n == 0) {
+    min_.store(v);
+    max_.store(v);
   } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+    min_.store(std::min(min_.load(), v));
+    max_.store(std::max(max_.load(), v));
   }
-  ++count_;
-  sum_ += v;
+  count_.store(n + 1);
+  sum_.add(v);
+}
+
+std::vector<std::uint64_t> Histogram::buckets() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(buckets_.size());
+  for (const Cell<std::uint64_t>& b : buckets_) out.push_back(b.load());
+  return out;
 }
 
 double Histogram::quantile(double q) const {
-  HistAccum a;
-  a.merge(*this);
-  return a.quantile(q);
+  const std::uint64_t n = count();
+  if (n == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(q * static_cast<double>(n) + 0.5));
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    cum += buckets_[i].load();
+    if (cum >= rank) {
+      // A bucket bound can exceed the largest observed value; never
+      // report a quantile above the true max.
+      return i < bounds_.size() ? std::min(bounds_[i], max()) : max();
+    }
+  }
+  return max();
 }
 
 std::vector<double> size_buckets() {
@@ -259,51 +230,47 @@ std::string MetricsRegistry::key_of(std::string_view name,
 
 Counter* MetricsRegistry::counter(std::string_view name,
                                   const Labels& labels) {
-  confined_.check();
   const std::string key = key_of(name, labels);
+  const std::lock_guard<std::mutex> lock{mutex_};
   const auto it = counter_index_.find(key);
   if (it != counter_index_.end()) return &counters_[it->second];
   counters_.emplace_back();
-  Counter& c = counters_.back();
-  c.index_ = static_cast<std::uint32_t>(counters_.size() - 1);
   counter_info_.push_back({std::string{name}, labels});
   counter_index_.emplace(key, counters_.size() - 1);
-  return &c;
+  return &counters_.back();
 }
 
 Gauge* MetricsRegistry::gauge(std::string_view name, const Labels& labels) {
-  confined_.check();
   const std::string key = key_of(name, labels);
+  const std::lock_guard<std::mutex> lock{mutex_};
   const auto it = gauge_index_.find(key);
   if (it != gauge_index_.end()) return &gauges_[it->second];
   gauges_.emplace_back();
-  Gauge& g = gauges_.back();
-  g.index_ = static_cast<std::uint32_t>(gauges_.size() - 1);
   gauge_info_.push_back({std::string{name}, labels});
   gauge_index_.emplace(key, gauges_.size() - 1);
-  return &g;
+  return &gauges_.back();
 }
 
 Histogram* MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds,
                                       const Labels& labels) {
-  confined_.check();
   const std::string key = key_of(name, labels);
+  const std::lock_guard<std::mutex> lock{mutex_};
   const auto it = histogram_index_.find(key);
   if (it != histogram_index_.end()) return &histograms_[it->second];
-  if (bounds.empty() || !std::is_sorted(bounds.begin(), bounds.end())) {
-    throw std::invalid_argument{"histogram: bounds must be ascending"};
-  }
-  histograms_.emplace_back();
-  Histogram& h = histograms_.back();
-  h.bounds_ = std::move(bounds);
-  h.buckets_.assign(h.bounds_.size() + 1, 0);
+  histograms_.emplace_back(std::move(bounds));
   histogram_info_.push_back({std::string{name}, labels});
   histogram_index_.emplace(key, histograms_.size() - 1);
-  return &h;
+  return &histograms_.back();
+}
+
+std::size_t MetricsRegistry::counter_count() const {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  return counters_.size();
 }
 
 std::size_t MetricsRegistry::name_count() const {
+  const std::lock_guard<std::mutex> lock{mutex_};
   std::vector<std::string_view> names;
   names.reserve(counter_info_.size() + gauge_info_.size() +
                 histogram_info_.size());
@@ -316,56 +283,58 @@ std::size_t MetricsRegistry::name_count() const {
 }
 
 CounterSnapshot MetricsRegistry::counter_snapshot() const {
+  const std::lock_guard<std::mutex> lock{mutex_};
   CounterSnapshot snap;
   snap.reserve(counters_.size());
-  for (const Counter& c : counters_) snap.push_back(c.value_);
+  for (const Counter& c : counters_) snap.push_back(c.value());
   return snap;
 }
 
 std::uint64_t MetricsRegistry::sum_counters(
     std::string_view name, const Labels& filter,
     const CounterSnapshot* baseline) const {
+  const std::lock_guard<std::mutex> lock{mutex_};
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     const MetricInfo& info = counter_info_[i];
     if (info.name != name || !info.labels.contains(filter)) continue;
-    std::uint64_t v = counters_[i].value_;
+    std::uint64_t v = counters_[i].value();
     if (baseline != nullptr && i < baseline->size()) v -= (*baseline)[i];
     total += v;
   }
   return total;
 }
 
+Histogram MetricsRegistry::merge_histograms(std::string_view name,
+                                            const Labels& filter) const {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  Histogram merged;
+  for (std::size_t i = 0; i < histograms_.size(); ++i) {
+    const MetricInfo& info = histogram_info_[i];
+    if (info.name == name && info.labels.contains(filter)) {
+      merged.merge(histograms_[i]);
+    }
+  }
+  return merged;
+}
+
 void MetricsRegistry::for_each_counter(
     const std::function<void(const MetricInfo&, const Counter&)>& fn) const {
+  const std::lock_guard<std::mutex> lock{mutex_};
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     fn(counter_info_[i], counters_[i]);
   }
 }
 
-void MetricsRegistry::for_each_gauge(
-    const std::function<void(const MetricInfo&, const Gauge&)>& fn) const {
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    fn(gauge_info_[i], gauges_[i]);
-  }
-}
-
-void MetricsRegistry::for_each_histogram(
-    const std::function<void(const MetricInfo&, const Histogram&)>& fn)
-    const {
-  for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    fn(histogram_info_[i], histograms_[i]);
-  }
-}
-
 std::string MetricsRegistry::to_json(bool aggregate) const {
+  const std::lock_guard<std::mutex> lock{mutex_};
   std::string out = "{\n  \"counters\": [";
 
   if (aggregate) {
     // std::map: deterministic name order in the dump.
     std::map<std::string, std::uint64_t> csums;
     for (std::size_t i = 0; i < counters_.size(); ++i) {
-      csums[counter_info_[i].name] += counters_[i].value_;
+      csums[counter_info_[i].name] += counters_[i].value();
     }
     bool first = true;
     for (const auto& [name, value] : csums) {
@@ -380,7 +349,7 @@ std::string MetricsRegistry::to_json(bool aggregate) const {
     out += "\n  ],\n  \"gauges\": [";
     std::map<std::string, double> gsums;
     for (std::size_t i = 0; i < gauges_.size(); ++i) {
-      gsums[gauge_info_[i].name] += gauges_[i].value_;
+      gsums[gauge_info_[i].name] += gauges_[i].value();
     }
     first = true;
     for (const auto& [name, value] : gsums) {
@@ -393,18 +362,18 @@ std::string MetricsRegistry::to_json(bool aggregate) const {
       out += '}';
     }
     out += "\n  ],\n  \"histograms\": [";
-    std::map<std::string, HistAccum> hsums;
+    std::map<std::string, Histogram> hsums;
     for (std::size_t i = 0; i < histograms_.size(); ++i) {
       hsums[histogram_info_[i].name].merge(histograms_[i]);
     }
     first = true;
-    for (const auto& [name, accum] : hsums) {
+    for (const auto& [name, merged] : hsums) {
       out += first ? "\n" : ",\n";
       first = false;
       out += "    {\"name\":\"";
       append_escaped(out, name);
       out += "\",";
-      append_hist_json(out, accum);
+      append_hist_json(out, merged);
       out += '}';
     }
     out += "\n  ]\n}\n";
@@ -418,7 +387,7 @@ std::string MetricsRegistry::to_json(bool aggregate) const {
     out += "\",\"labels\":";
     append_labels_json(out, counter_info_[i].labels);
     out += ",\"value\":";
-    append_u64(out, counters_[i].value_);
+    append_u64(out, counters_[i].value());
     out += '}';
   }
   out += "\n  ],\n  \"gauges\": [";
@@ -429,7 +398,7 @@ std::string MetricsRegistry::to_json(bool aggregate) const {
     out += "\",\"labels\":";
     append_labels_json(out, gauge_info_[i].labels);
     out += ",\"value\":";
-    append_double(out, gauges_[i].value_);
+    append_double(out, gauges_[i].value());
     out += '}';
   }
   out += "\n  ],\n  \"histograms\": [";
@@ -440,9 +409,7 @@ std::string MetricsRegistry::to_json(bool aggregate) const {
     out += "\",\"labels\":";
     append_labels_json(out, histogram_info_[i].labels);
     out += ',';
-    HistAccum a;
-    a.merge(histograms_[i]);
-    append_hist_json(out, a);
+    append_hist_json(out, histograms_[i]);
     out += '}';
   }
   out += "\n  ]\n}\n";

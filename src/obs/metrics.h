@@ -2,27 +2,33 @@
 // with label support and cheap handle-based hot-path access.
 //
 // A handle (Counter*, Gauge*, Histogram*) is looked up once — by name and
-// label set — and then incremented directly on the hot path; the registry
+// label set — and then updated directly on the hot path; the registry
 // owns the cells (in deques, so handles stay stable as metrics are added)
-// and provides the cold-path views: filtered sums, snapshots for
-// delta-style accounting, and a JSON dump with per-histogram quantiles.
+// and provides the cold-path views: filtered sums, merged histograms,
+// snapshots for delta-style accounting, and a JSON dump with
+// per-histogram quantiles.
+//
+// Threading (DESIGN.md §9): each cell has ONE writing thread and any
+// thread may read it; registration and the views take the registry
+// mutex. Work spread over threads records into per-thread labelled
+// series, which the views merge on read.
 //
 // Everything here is passive with respect to the simulation: recording a
 // sample never schedules events, touches the RNG, or observes wall-clock
 // time, so instrumented runs stay bit-identical to uninstrumented ones.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <initializer_list>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "sim/thread_confined.h"
 
 namespace abrr::obs {
 
@@ -54,33 +60,50 @@ class Labels {
   std::vector<std::pair<std::string, std::string>> kv_;
 };
 
-/// Monotonic counter cell. inc() is the hot path: one add through a
-/// pointer the owner cached at registration time.
-class Counter {
+/// One single-writer telemetry word: its owning thread updates it with a
+/// relaxed load and a relaxed store, any thread may load it. Copies read
+/// the source's current value.
+template <typename T>
+class Cell {
  public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  /// Position in the registry's counter snapshot vector.
-  std::size_t index() const { return index_; }
+  Cell() = default;
+  Cell(const Cell& other) : v_(other.load()) {}
+  Cell& operator=(const Cell& other) {
+    store(other.load());
+    return *this;
+  }
+
+  T load() const { return v_.load(std::memory_order_relaxed); }
+  void store(T v) { v_.store(v, std::memory_order_relaxed); }
+  void add(T d) { store(load() + d); }
 
  private:
-  friend class MetricsRegistry;
-  std::uint64_t value_ = 0;
-  std::uint32_t index_ = 0;
+  std::atomic<T> v_{};
+};
+
+/// Registry cells start on their own cache line: cells written by
+/// different threads (per-reader series) must not false-share.
+inline constexpr std::size_t kCellAlign = 64;
+
+/// Monotonic counter cell. inc() is the hot path: one add through a
+/// pointer the owner cached at registration time.
+class alignas(kCellAlign) Counter {
+ public:
+  void inc(std::uint64_t n = 1) { value_.add(n); }
+  std::uint64_t value() const { return value_.load(); }
+
+ private:
+  Cell<std::uint64_t> value_;
 };
 
 /// Point-in-time value cell (RIB sizes, queue depths, ...).
-class Gauge {
+class alignas(kCellAlign) Gauge {
  public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
-  std::size_t index() const { return index_; }
+  void set(double v) { value_.store(v); }
+  double value() const { return value_.load(); }
 
  private:
-  friend class MetricsRegistry;
-  double value_ = 0;
-  std::uint32_t index_ = 0;
+  Cell<double> value_;
 };
 
 /// Fixed-bucket histogram. `bounds` are ascending upper bounds with
@@ -89,17 +112,15 @@ class Gauge {
 /// bucket. quantile() reports the upper bound of the bucket holding the
 /// requested rank, clamped to the observed max (the overflow bucket
 /// reports the max directly) — a deterministic, platform-independent
-/// estimate.
-class Histogram {
+/// estimate. A copy is a point-in-time view of the source.
+class alignas(kCellAlign) Histogram {
  public:
   /// Registry histograms are created via MetricsRegistry::histogram();
   /// this default state (no buckets) is only valid as a merge target.
   Histogram() = default;
 
-  /// Free-standing histogram for thread-local recording (the serving
-  /// mode's reader threads: the registry is thread-confined, so each
-  /// reader records locally and the owner merge()s after join). Bounds
-  /// must be ascending and non-empty.
+  /// Free-standing histogram (a bench worker's private latency record).
+  /// Bounds must be ascending and non-empty.
   explicit Histogram(std::vector<double> bounds);
 
   void record(double v);
@@ -110,25 +131,24 @@ class Histogram {
   /// JSON dumps).
   void merge(const Histogram& other);
 
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0; }
-  double max() const { return count_ ? max_ : 0; }
+  std::uint64_t count() const { return count_.load(); }
+  double sum() const { return sum_.load(); }
+  double min() const { return count() ? min_.load() : 0; }
+  double max() const { return count() ? max_.load() : 0; }
   /// q in [0, 1]. An empty histogram reports 0 for every quantile.
   double quantile(double q) const;
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
+  std::vector<std::uint64_t> buckets() const;
 
  private:
-  friend class MetricsRegistry;
   std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
+  std::vector<Cell<std::uint64_t>> buckets_;
+  Cell<std::uint64_t> count_;
+  Cell<double> sum_;
+  Cell<double> min_;
+  Cell<double> max_;
 };
 
 /// Power-of-two size buckets 1, 2, 4, ..., 65536 — the default for
@@ -149,8 +169,8 @@ struct MetricInfo {
   Labels labels;
 };
 
-/// Dense snapshot of every counter cell, indexed by Counter::index().
-/// Cells registered after the snapshot read as 0 (implicit baseline).
+/// Dense snapshot of every counter cell in registration order. Cells
+/// registered after the snapshot read as 0 (implicit baseline).
 using CounterSnapshot = std::vector<std::uint64_t>;
 
 class MetricsRegistry {
@@ -161,7 +181,9 @@ class MetricsRegistry {
 
   /// Registration doubles as lookup: the same (name, labels) always
   /// returns the same cell. Distinct registries never share cells, so
-  /// equal metric names in two registries cannot collide.
+  /// equal metric names in two registries cannot collide. A cell has one
+  /// writing thread at a time: a later writer must happen-after the
+  /// previous one's last update.
   Counter* counter(std::string_view name, const Labels& labels = {});
   Gauge* gauge(std::string_view name, const Labels& labels = {});
   /// `bounds` must be ascending and non-empty; on re-lookup of an
@@ -169,9 +191,7 @@ class MetricsRegistry {
   Histogram* histogram(std::string_view name, std::vector<double> bounds,
                        const Labels& labels = {});
 
-  std::size_t counter_count() const { return counters_.size(); }
-  std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t histogram_count() const { return histograms_.size(); }
+  std::size_t counter_count() const;
   /// Distinct metric names across all three kinds.
   std::size_t name_count() const;
 
@@ -182,14 +202,14 @@ class MetricsRegistry {
   std::uint64_t sum_counters(std::string_view name,
                              const Labels& filter = {},
                              const CounterSnapshot* baseline = nullptr) const;
+  /// Bucket-wise merge of every histogram named `name` whose labels
+  /// contain `filter` (an empty, shapeless Histogram when none match).
+  Histogram merge_histograms(std::string_view name,
+                             const Labels& filter = {}) const;
 
+  /// Holds the registry mutex while it runs: `fn` must not register.
   void for_each_counter(
       const std::function<void(const MetricInfo&, const Counter&)>& fn) const;
-  void for_each_gauge(
-      const std::function<void(const MetricInfo&, const Gauge&)>& fn) const;
-  void for_each_histogram(
-      const std::function<void(const MetricInfo&, const Histogram&)>& fn)
-      const;
 
   /// JSON dump of every metric (with p50/p95/p99 per histogram).
   /// `aggregate` merges series sharing a name: counters/gauges sum,
@@ -202,6 +222,10 @@ class MetricsRegistry {
  private:
   static std::string key_of(std::string_view name, const Labels& labels);
 
+  /// Guards the index maps, the info vectors and deque growth; cell
+  /// values are atomics and never need it.
+  mutable std::mutex mutex_;
+
   std::deque<Counter> counters_;
   std::vector<MetricInfo> counter_info_;
   std::unordered_map<std::string, std::size_t> counter_index_;
@@ -213,9 +237,6 @@ class MetricsRegistry {
   std::deque<Histogram> histograms_;
   std::vector<MetricInfo> histogram_info_;
   std::unordered_map<std::string, std::size_t> histogram_index_;
-  /// A registry belongs to one trial, hence one thread (debug assert on
-  /// the registration paths; handle-based inc/set stays unchecked).
-  sim::ThreadConfined confined_;
 };
 
 }  // namespace abrr::obs

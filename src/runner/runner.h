@@ -10,7 +10,8 @@
 // Thread-confinement contract: a trial builds every piece of mutable
 // simulation state it touches (Scheduler, Network, MetricsRegistry,
 // Rng) inside run_trial() on its worker thread and never shares it.
-// Debug builds assert this (sim::ThreadConfined); the only cross-thread
+// Debug builds assert this for the Scheduler and Rng
+// (sim::ThreadConfined); the only cross-thread
 // traffic is the trial index handed out by an atomic counter and the
 // finished TrialResult moved into its slot.
 #pragma once

@@ -111,14 +111,6 @@ struct RouteService::WriterState {
   std::uint64_t next_version = 0;
   bool any_dirty = false;
 
-  // Registry handles (the bed's writer-confined MetricsRegistry).
-  obs::Gauge* g_version = nullptr;
-  obs::Gauge* g_epoch = nullptr;
-  obs::Gauge* g_pending = nullptr;
-  obs::Counter* c_publishes = nullptr;
-  obs::Counter* c_deferred = nullptr;
-  obs::Counter* c_reclaimed = nullptr;
-
   void init(harness::Testbed& bed) {
     pidx = &bed.prefix_index();
     index = std::make_shared<const bgp::LpmIndex>(pidx->prefixes());
@@ -177,8 +169,13 @@ RouteService::RouteService(runner::ScenarioSpec spec, std::uint64_t seed,
     : spec_(std::move(spec)),
       seed_(seed),
       epochs_(max_readers),
-      lookup_hist_(obs::latency_buckets_ns()),
-      publish_hist_(obs::latency_buckets_ns()) {
+      publishes_(metrics_.counter("serve.publishes")),
+      deferred_(metrics_.counter("serve.publishes_deferred")),
+      reclaimed_(metrics_.counter("serve.reclaimed")),
+      retired_pending_(metrics_.gauge("serve.retired_pending")),
+      retired_peak_(metrics_.gauge("serve.retired_peak")),
+      publish_ns_(
+          metrics_.histogram("serve.publish_ns", obs::latency_buckets_ns())) {
   spec_.serve.enabled = true;
   const std::vector<runner::ValidationError> errors = spec_.validate();
   if (!errors.empty()) {
@@ -216,8 +213,8 @@ void RouteService::stop() {
 
 std::size_t RouteService::reclaim() {
   const std::size_t n = bin_.reclaim(epochs_.min_pinned());
-  if (n > 0) reclaimed_.fetch_add(n, std::memory_order_relaxed);
-  pending_.store(bin_.pending(), std::memory_order_relaxed);
+  reclaimed_->inc(n);
+  retired_pending_->set(static_cast<double>(bin_.pending()));
   return n;
 }
 
@@ -227,8 +224,7 @@ bool RouteService::try_publish(WriterState& ws, sim::Time now) {
   // stuck reader makes the backlog unreclaimable, so defer instead of
   // growing past the cap.
   if (bin_.pending() + 2 > spec_.serve.max_resident_snapshots) {
-    deferred_.fetch_add(1, std::memory_order_relaxed);
-    if (ws.c_deferred != nullptr) ws.c_deferred->inc();
+    deferred_->inc();
     return false;
   }
 
@@ -262,35 +258,17 @@ bool RouteService::try_publish(WriterState& ws, sim::Time now) {
   const std::uint64_t tag = epochs_.current();
   if (old != nullptr) {
     bin_.retire(tag, std::unique_ptr<const RibSnapshot>(old));
-    std::uint64_t peak = retired_peak_.load(std::memory_order_relaxed);
-    while (bin_.pending() > peak &&
-           !retired_peak_.compare_exchange_weak(peak, bin_.pending(),
-                                                std::memory_order_relaxed)) {
-    }
+    const auto pending = static_cast<double>(bin_.pending());
+    if (pending > retired_peak_->value()) retired_peak_->set(pending);
   }
   epochs_.advance();
   reclaim();
 
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  publishes_->inc();
   version_.store(version, std::memory_order_relaxed);
   fingerprint_.store(fp, std::memory_order_relaxed);
   virtual_time_.store(now, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock{hist_mutex_};
-    publish_hist_.record(static_cast<double>(now_ns() - t_begin));
-  }
-  if (ws.c_publishes != nullptr) ws.c_publishes->inc();
-  if (ws.c_reclaimed != nullptr) {
-    const std::uint64_t total = reclaimed_.load(std::memory_order_relaxed);
-    if (total > ws.c_reclaimed->value()) {
-      ws.c_reclaimed->inc(total - ws.c_reclaimed->value());
-    }
-  }
-  if (ws.g_version != nullptr) {
-    ws.g_version->set(static_cast<double>(version));
-    ws.g_epoch->set(static_cast<double>(epochs_.current()));
-    ws.g_pending->set(static_cast<double>(bin_.pending()));
-  }
+  publish_ns_->record(static_cast<double>(now_ns() - t_begin));
   return true;
 }
 
@@ -309,13 +287,6 @@ void RouteService::writer_main() {
     if (!w.base.converged) {
       throw std::runtime_error{"serve: initial convergence did not quiesce"};
     }
-    obs::MetricsRegistry& reg = w.base.bed->metrics();
-    ws.g_version = reg.gauge("serve.version");
-    ws.g_epoch = reg.gauge("serve.published_epoch");
-    ws.g_pending = reg.gauge("serve.retired_snapshots");
-    ws.c_publishes = reg.counter("serve.publishes");
-    ws.c_deferred = reg.counter("serve.publishes_deferred");
-    ws.c_reclaimed = reg.counter("serve.reclaimed");
 
     try_publish(ws, w.t0);  // bin is empty: cannot defer
     t0_virtual_.store(w.t0, std::memory_order_release);
@@ -374,11 +345,11 @@ void RouteService::writer_main() {
 
 ServiceStats RouteService::stats() const {
   ServiceStats s;
-  s.publishes = publishes_.load(std::memory_order_relaxed);
-  s.publishes_deferred = deferred_.load(std::memory_order_relaxed);
-  s.reclaimed = reclaimed_.load(std::memory_order_relaxed);
-  s.retired_pending = pending_.load(std::memory_order_relaxed);
-  s.retired_peak = retired_peak_.load(std::memory_order_relaxed);
+  s.publishes = publishes_->value();
+  s.publishes_deferred = deferred_->value();
+  s.reclaimed = reclaimed_->value();
+  s.retired_pending = static_cast<std::uint64_t>(retired_pending_->value());
+  s.retired_peak = static_cast<std::uint64_t>(retired_peak_->value());
   s.version = version_.load(std::memory_order_relaxed);
   s.fingerprint = fingerprint_.load(std::memory_order_relaxed);
   s.virtual_time = virtual_time_.load(std::memory_order_relaxed);
@@ -387,28 +358,27 @@ ServiceStats RouteService::stats() const {
 }
 
 obs::Histogram RouteService::lookup_latency() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return lookup_hist_;
+  return metrics_.merge_histograms("serve.lookup_ns");
 }
 
-obs::Histogram RouteService::publish_latency() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return publish_hist_;
+std::uint64_t RouteService::total_lookups() const {
+  return metrics_.sum_counters("serve.lookups");
 }
 
+obs::Histogram RouteService::publish_latency() const { return *publish_ns_; }
+
+// A reused slot reuses its series: the previous owner's last update
+// happens-before this registration (unregister_reader releases the
+// slot, register_reader acquires it).
 RouteService::Reader::Reader(RouteService& service)
-    : service_(&service),
-      slot_(service.epochs_.register_reader()),
-      latency_(obs::latency_buckets_ns()) {}
-
-RouteService::Reader::~Reader() {
-  service_->epochs_.unregister_reader(slot_);
-  {
-    std::lock_guard<std::mutex> lock{service_->hist_mutex_};
-    service_->lookup_hist_.merge(latency_);
-  }
-  service_->total_lookups_.fetch_add(lookups_, std::memory_order_relaxed);
+    : service_(&service), slot_(service.epochs_.register_reader()) {
+  const obs::Labels labels{{"reader", std::to_string(slot_)}};
+  lookup_ns_ = service.metrics_.histogram("serve.lookup_ns",
+                                          obs::latency_buckets_ns(), labels);
+  lookups_ = service.metrics_.counter("serve.lookups", labels);
 }
+
+RouteService::Reader::~Reader() { service_->epochs_.unregister_reader(slot_); }
 
 BatchResult RouteService::Reader::lookup_batch(
     std::span<const LookupRequest> reqs, std::span<LookupResponse> resps) {
@@ -444,9 +414,9 @@ BatchResult RouteService::Reader::lookup_batch(
     }
   }
   if (!reqs.empty()) {
-    record(static_cast<double>(now_ns() - t_begin) /
-               static_cast<double>(reqs.size()),
-           reqs.size());
+    lookup_ns_->record(static_cast<double>(now_ns() - t_begin) /
+                       static_cast<double>(reqs.size()));
+    lookups_->inc(reqs.size());
   }
   return out;
 }

@@ -83,7 +83,8 @@ struct BatchResult {
   std::uint64_t hits = 0;
 };
 
-/// Writer + reclamation telemetry, readable from any thread.
+/// Writer + reclamation telemetry, readable from any thread: a view of
+/// the service's registry cells plus the published-snapshot state.
 struct ServiceStats {
   std::uint64_t publishes = 0;
   std::uint64_t publishes_deferred = 0;
@@ -140,9 +141,15 @@ class RouteService {
 
   ServiceStats stats() const;
 
-  /// Per-reader-thread handle: one epoch slot plus a thread-local
-  /// lookup-latency histogram (the registry is writer-confined, so
-  /// readers record locally; the service merges on Reader destruction).
+  /// The service's telemetry: the writer's serve.* cells, each Reader's
+  /// serve.lookup_ns / serve.lookups series labelled {reader=<slot>},
+  /// and whatever a front-end registers (frontend.*{server=<port>}).
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
+
+  /// Per-reader-thread handle: one epoch slot plus the reader's own
+  /// registry series (serve.lookup_ns and serve.lookups, labelled
+  /// {reader=<slot()>}; the reader thread is their only writer).
   ///
   /// The read contract is lookup_batch(): requests in, flattened
   /// responses out, one epoch pin per batch. Raw pin()/unpin() no
@@ -186,8 +193,9 @@ class RouteService {
     /// Answers reqs[i] into resps[i] under a single epoch pin, so the
     /// whole batch reflects ONE snapshot. Requires
     /// resps.size() >= reqs.size(). Records the batch's mean per-lookup
-    /// latency into this reader's histogram (one sample per batch; see
-    /// EXPERIMENTS.md on batch-wise tails). Total: before the first
+    /// latency into this reader's serve.lookup_ns series (one sample per
+    /// batch; see EXPERIMENTS.md on batch-wise tails) and the batch size
+    /// into its serve.lookups counter. Total: before the first
     /// publish every request misses at snapshot_version 0 (the TCP
     /// front-end exposes this path to clients).
     BatchResult lookup_batch(std::span<const LookupRequest> reqs,
@@ -202,35 +210,23 @@ class RouteService {
       return resp;
     }
 
-    /// Folds one timing sample (mean ns per lookup over `lookups`
-    /// queries) into this reader's telemetry. lookup_batch calls this
-    /// itself; it is public for harnesses that time at a coarser grain.
-    /// Count and histogram move together — there is no way to desync
-    /// them.
-    void record(double ns_per_lookup, std::uint64_t lookups) {
-      latency_.record(ns_per_lookup);
-      lookups_ += lookups;
-    }
-
-    /// Thread-local latency samples (ns per lookup); merged into the
-    /// service aggregate when the Reader is destroyed.
-    const obs::Histogram& latency_hist() const { return latency_; }
-    std::uint64_t lookups() const { return lookups_; }
+    /// The epoch slot; also this reader's {reader=<slot>} series label.
+    std::size_t slot() const { return slot_; }
 
    private:
     friend class PinGuard;
 
     RouteService* service_;
     std::size_t slot_;
-    obs::Histogram latency_;
-    std::uint64_t lookups_ = 0;
+    obs::Histogram* lookup_ns_ = nullptr;  // ns per lookup, per batch
+    obs::Counter* lookups_ = nullptr;
   };
 
-  /// Merged view of every destroyed Reader's latency histogram.
+  /// Every Reader's serve.lookup_ns series, merged (readers past and
+  /// present).
   obs::Histogram lookup_latency() const;
-  std::uint64_t total_lookups() const {
-    return total_lookups_.load(std::memory_order_relaxed);
-  }
+  /// Every Reader's serve.lookups series, summed.
+  std::uint64_t total_lookups() const;
   /// Writer-side wall-clock snapshot publish latency (ns).
   obs::Histogram publish_latency() const;
 
@@ -263,22 +259,21 @@ class RouteService {
   bool ready_ = false;
   std::string writer_error_;
 
-  // Stats (writer publishes, anyone reads).
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> reclaimed_{0};
-  std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> retired_peak_{0};
+  // The published snapshot's identity (writer stores, anyone reads).
   std::atomic<std::uint64_t> version_{0};
   std::atomic<std::uint64_t> fingerprint_{0};
   std::atomic<std::int64_t> virtual_time_{0};
   std::atomic<std::int64_t> t0_virtual_{0};
 
-  // Merged reader-side latency + writer-side publish latency.
-  mutable std::mutex hist_mutex_;
-  obs::Histogram lookup_hist_;
-  obs::Histogram publish_hist_;
-  std::atomic<std::uint64_t> total_lookups_{0};
+  // Telemetry. The serve.* cells below are registered by the
+  // constructor; the writer thread is their only writer.
+  obs::MetricsRegistry metrics_;
+  obs::Counter* publishes_;
+  obs::Counter* deferred_;
+  obs::Counter* reclaimed_;
+  obs::Gauge* retired_pending_;
+  obs::Gauge* retired_peak_;
+  obs::Histogram* publish_ns_;
 };
 
 /// Batch-mode comparator for the snapshot-consistency contract: builds

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,6 +169,54 @@ TEST(FrontendServer, SocketRepliesMatchInProcessLookupsByteForByte) {
   EXPECT_EQ(stats.lookups_served, reqs.size());
   EXPECT_EQ(stats.batches_served, 1u);
   EXPECT_EQ(stats.connections_accepted, 1u);
+
+  client.close();
+  server.stop();
+  service.stop();
+}
+
+// STATS_REPLY is a view of the service's registry: the server's
+// frontend.* series and its loop Reader's serve.lookups series count
+// the same lookups the reply reports.
+TEST(FrontendServer, StatsReplyIsARegistryView) {
+  serve::RouteService service{frontend_tiny(), 25};
+  service.start();
+  wait_until_stable(service);
+
+  Server server{service};
+  server.start();
+
+  // probe_plan's reader only pins, so the server's loop reader is the
+  // only one that answers lookups.
+  const auto reqs = probe_plan(service, 40);
+  constexpr std::uint64_t kBatches = 5;
+  Client client;
+  client.connect(server.port());
+  for (std::uint64_t i = 0; i < kBatches; ++i) client.lookup(reqs);
+  const StatsReply stats = client.stats();
+  EXPECT_EQ(stats.lookups_served, kBatches * reqs.size());
+  EXPECT_EQ(stats.batches_served, kBatches);
+
+  const obs::MetricsRegistry& reg = service.metrics();
+  EXPECT_EQ(reg.sum_counters("frontend.lookups"), stats.lookups_served);
+  std::vector<std::uint64_t> reader_lookups;
+  reg.for_each_counter([&](const obs::MetricInfo& info,
+                           const obs::Counter& c) {
+    if (info.name == "serve.lookups" && c.value() > 0) {
+      reader_lookups.push_back(c.value());
+    }
+  });
+  ASSERT_EQ(reader_lookups.size(), 1u);
+  EXPECT_EQ(reader_lookups[0], stats.lookups_served);
+
+  const obs::Labels mine{{"server", std::to_string(server.port())}};
+  EXPECT_EQ(reg.merge_histograms("frontend.batch_size", mine).count(),
+            kBatches);
+  EXPECT_EQ(reg.merge_histograms("frontend.reply_bytes", mine).count(),
+            kBatches);
+  const std::string json = reg.to_json(/*aggregate=*/true);
+  EXPECT_NE(json.find("\"frontend.batch_size\""), std::string::npos);
+  EXPECT_NE(json.find("\"frontend.reply_bytes\""), std::string::npos);
 
   client.close();
   server.stop();

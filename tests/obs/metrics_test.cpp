@@ -1,9 +1,15 @@
 // Unit tests for the metrics registry: handle identity, histogram
 // bucket semantics at the boundaries, empty-histogram quantiles,
-// label-filtered sums with baselines, and registry isolation.
+// label-filtered sums with baselines, registry isolation, and
+// single-writer series recorded on several threads while another reads.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace abrr::obs {
 namespace {
@@ -168,6 +174,57 @@ TEST(MetricsRegistry, NameCountSpansKinds) {
   r.gauge("b");
   r.histogram("c", {1.0});
   EXPECT_EQ(r.name_count(), 3u);
+}
+
+TEST(MetricsRegistry, PerThreadSeriesMergeExactlyOnRead) {
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kIters = 100000;
+  MetricsRegistry r;
+  std::atomic<bool> writing{true};
+  std::thread dumper([&] {
+    // Registration and every read view race the writers' updates.
+    std::uint64_t last = 0;
+    while (writing.load(std::memory_order_acquire)) {
+      const std::string js = r.to_json(/*aggregate=*/true);
+      EXPECT_NE(js.find("\"counters\""), std::string::npos);
+      const std::uint64_t now = r.sum_counters("ops");
+      EXPECT_GE(now, last);  // each cell only grows
+      last = now;
+      (void)r.merge_histograms("op_size").count();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&r, w] {
+      const Labels mine{{"writer", std::to_string(w)}};
+      Counter* ops = r.counter("ops", mine);
+      Histogram* sizes = r.histogram("op_size", size_buckets(), mine);
+      for (std::uint64_t i = 1; i <= kIters; ++i) {
+        ops->inc();
+        sizes->record(static_cast<double>(i % 8));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  writing.store(false, std::memory_order_release);
+  dumper.join();
+
+  EXPECT_EQ(r.sum_counters("ops"), kWriters * kIters);
+  EXPECT_EQ(r.sum_counters("ops", Labels{{"writer", "2"}}), kIters);
+  const Histogram merged = r.merge_histograms("op_size");
+  EXPECT_EQ(merged.count(), kWriters * kIters);
+  EXPECT_DOUBLE_EQ(merged.sum(), kWriters * (kIters / 8) * 28.0);
+  EXPECT_EQ(merged.buckets()[0], kWriters * (kIters / 8) * 2);  // 0 and 1
+}
+
+TEST(MetricsRegistry, MergeHistogramsFiltersByLabels) {
+  MetricsRegistry r;
+  r.histogram("h", {1.0, 2.0}, Labels{{"reader", "0"}})->record(1);
+  r.histogram("h", {1.0, 2.0}, Labels{{"reader", "1"}})->record(2);
+  r.histogram("other", {1.0, 2.0})->record(1);
+  EXPECT_EQ(r.merge_histograms("h").count(), 2u);
+  EXPECT_EQ(r.merge_histograms("h", Labels{{"reader", "1"}}).max(), 2.0);
+  EXPECT_EQ(r.merge_histograms("missing").count(), 0u);
 }
 
 }  // namespace

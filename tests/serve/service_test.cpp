@@ -11,9 +11,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bgp/attrs_intern.h"
+#include "harness/testbed.h"
 #include "runner/scenario.h"
 #include "runner/trial.h"
 
@@ -129,6 +132,31 @@ TEST(RouteService, ConvergedWorldIsTheBatchTrialWorld) {
   }
 }
 
+// Converged virtual time depends on timing (processing delays, MRAI,
+// link latencies) where the converged fingerprint does not: the
+// writer's v1 time, the comparator's and the batch trial's bed clock
+// must agree exactly.
+TEST(RouteService, ConvergedTimeIsTheBatchTrialTime) {
+  constexpr std::uint64_t kSeed = 11;
+  for (const ibgp::IbgpMode mode : modes_under_test()) {
+    const runner::ScenarioSpec spec = serve_tiny(mode);
+    SCOPED_TRACE(spec.name);
+    sim::Time trial_time = 0;
+    {
+      bgp::AttrsInterner::TrialScope attrs_scope{
+          spec.expected_attr_blocks()};
+      const runner::World world = runner::build_world(spec, kSeed);
+      ASSERT_TRUE(world.converged);
+      trial_time = world.bed->scheduler().now();
+    }
+    EXPECT_EQ(batch_converged_time(spec, kSeed), trial_time);
+    RouteService service{spec, kSeed};
+    service.start();
+    EXPECT_EQ(service.converged_time(), trial_time);
+    service.stop();
+  }
+}
+
 TEST(RouteService, StuckReaderBoundsResidentSnapshotsAndDefers) {
   runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kTbrr);
   spec.serve.max_resident_snapshots = 3;
@@ -229,9 +257,12 @@ TEST(RouteService, LookupBatchAnswersUnderOneSnapshotAndMatchesSingleShot) {
   EXPECT_EQ(hits, res.hits);
 
   // Telemetry cannot desync: one histogram sample per batch, counts
-  // advance by the batch size.
-  EXPECT_EQ(reader.lookups(), reqs.size());
-  EXPECT_EQ(reader.latency_hist().count(), 1u);
+  // advance by the batch size — read from the reader's registry series.
+  const obs::Labels mine{{"reader", std::to_string(reader.slot())}};
+  EXPECT_EQ(service.metrics().sum_counters("serve.lookups", mine),
+            reqs.size());
+  EXPECT_EQ(service.metrics().merge_histograms("serve.lookup_ns", mine).count(),
+            1u);
 
   // After the horizon the snapshot is stable, so single-shot lookups
   // (a batch of one) must reproduce the batch responses exactly.
