@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
               cfg.trace_seconds);
   std::printf("# prefixes=%zu seed=%llu\n\n", cfg.prefixes,
               static_cast<unsigned long long>(cfg.seed));
-  std::printf("%-14s %14s %14s %14s %14s %8s\n", "config", "received/RR",
-              "generated/RR", "modeled-B/RR", "wire-B/RR", "#RRs");
+  std::printf("%-14s %14s %14s %14s %8s\n", "config", "received/RR",
+              "generated/RR", "wire-B/RR", "#RRs");
 
   bench::MetricsSink sink{"fig7_update_counts", cfg.metrics_out};
   for (const runner::TrialResult& r : results) {
@@ -64,12 +64,9 @@ int main(int argc, char** argv) {
                                   : r.error.c_str());
       continue;
     }
-    // Bandwidth both ways: the legacy closed-form estimate and the
-    // measured RFC 4271 wire length of every transmitted message
-    // (EXPERIMENTS.md discusses the delta between the two columns).
-    std::printf("%-14s %14.0f %14.0f %14.0f %14.0f %8zu\n",
-                r.scenario.c_str(), r.rr_totals.avg_received(),
-                r.rr_totals.avg_generated(), r.rr_totals.avg_bytes(),
+    // Bandwidth: the RFC 4271 wire length of every transmitted message.
+    std::printf("%-14s %14.0f %14.0f %14.0f %8zu\n", r.scenario.c_str(),
+                r.rr_totals.avg_received(), r.rr_totals.avg_generated(),
                 r.rr_totals.avg_wire_bytes(), r.rr_totals.speakers);
     sink.capture(r.scenario, r.metrics_json);
   }

@@ -1,21 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the BGP
 // substrate: decision process, best-AS-level filtering, RIB operations,
-// prefix-trie longest match, scheduler throughput, SPF, and a small
-// end-to-end convergence run.
-//
-// Some benchmarks measuring an optimized path have a `_Legacy` twin
-// running the pre-optimization strategy (value-semantics elimination,
-// uncached hashing, node-based allocation, trie lookup) so a single run
-// quantifies each speedup. Twins whose legacy path no longer exists in
-// the program are retired; their last ratios are frozen in
-// EXPERIMENTS.md. Pass --json_out=PATH to also write a machine-readable
-// report with the computed fast-vs-legacy ratios (see bench/run_bench.sh).
+// flat longest-prefix match, scheduler throughput, SPF, and a small
+// end-to-end convergence run. Pass --json_out=PATH to also write a
+// machine-readable report (see bench/run_bench.sh).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
-#include <memory>
+#include <cstdint>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,7 +14,6 @@
 
 #include "bgp/decision.h"
 #include "bgp/flat_lpm.h"
-#include "bgp/prefix_trie.h"
 #include "bgp/rib.h"
 #include "common.h"
 #include "igp/spf.h"
@@ -61,61 +51,6 @@ std::vector<Route> make_candidates(std::size_t n, sim::Rng& rng) {
   return out;
 }
 
-// ---------------------------------------------------------------------
-// Legacy reference implementations: the strategies the hot paths used
-// before the pointer-scratch / interning / dense-index overhaul. Kept
-// here (not in the library) purely as benchmark baselines.
-// ---------------------------------------------------------------------
-namespace legacy {
-
-template <typename Key>
-void keep_min(std::vector<Route>& routes, Key key) {
-  if (routes.size() <= 1) return;
-  auto best = key(routes.front());
-  for (std::size_t i = 1; i < routes.size(); ++i) {
-    best = std::min(best, key(routes[i]));
-  }
-  std::erase_if(routes, [&](const Route& r) { return key(r) != best; });
-}
-
-// Value-semantics best-AS-level: copies every candidate, eliminates by
-// erase_if over Route objects, and groups MED minima in a std::map.
-std::vector<Route> best_as_level_routes(std::span<const Route> candidates,
-                                        const bgp::DecisionConfig& cfg) {
-  std::vector<Route> out;
-  out.reserve(candidates.size());
-  for (const Route& r : candidates) {
-    if (r.valid()) out.push_back(r);
-  }
-  keep_min(out, [](const Route& r) {
-    return -static_cast<std::int64_t>(r.attrs->local_pref);
-  });
-  keep_min(out, [](const Route& r) { return r.attrs->as_path.length(); });
-  keep_min(out, [](const Route& r) { return static_cast<int>(r.attrs->origin); });
-  if (out.size() <= 1 || cfg.ignore_med) return out;
-  if (cfg.always_compare_med) {
-    keep_min(out, [&](const Route& r) { return cfg.med_of(r); });
-    return out;
-  }
-  std::map<bgp::Asn, std::uint32_t> group_min;
-  for (const Route& r : out) {
-    const bgp::Asn as = r.neighbor_as();
-    const std::uint32_t med = cfg.med_of(r);
-    const auto it = group_min.find(as);
-    if (it == group_min.end()) {
-      group_min.emplace(as, med);
-    } else {
-      it->second = std::min(it->second, med);
-    }
-  }
-  std::erase_if(out, [&](const Route& r) {
-    return cfg.med_of(r) != group_min.at(r.neighbor_as());
-  });
-  return out;
-}
-
-}  // namespace legacy
-
 void BM_SelectBest(benchmark::State& state) {
   sim::Rng rng{1};
   const auto candidates =
@@ -146,17 +81,6 @@ void BM_BestAsLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BestAsLevel)->Arg(10)->Arg(30)->Arg(100);
-
-void BM_BestAsLevel_Legacy(benchmark::State& state) {
-  sim::Rng rng{1};
-  const auto candidates =
-      make_candidates(static_cast<std::size_t>(state.range(0)), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        legacy::best_as_level_routes(candidates, bgp::DecisionConfig{}));
-  }
-}
-BENCHMARK(BM_BestAsLevel_Legacy)->Arg(10)->Arg(30)->Arg(100);
 
 // The speaker's real Adj-RIB-In access pattern: many prefixes with a
 // handful of paths each, and every announce/withdraw followed by a
@@ -197,96 +121,52 @@ void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
 
 BENCHMARK(BM_AdjRibInAnnounceWithdraw);
 
-// Shared random table for the LPM benchmarks below: `n` prefixes drawn
-// with the same generator the trie bench has always used, so the
-// 10000-entry rows stay comparable across report history and the
-// 416000-entry rows model a paper-scale full table (~416K prefixes).
-std::vector<std::pair<Ipv4Prefix, int>> lpm_bench_table(int n) {
+// Random table for the LPM benchmark below: `n` prefixes drawn with the
+// generator the LPM rows have always used, so the 10000-entry rows stay
+// comparable across report history and the 416000-entry rows model a
+// paper-scale full table (~416K prefixes).
+std::vector<Ipv4Prefix> lpm_bench_table(int n) {
   sim::Rng rng{3};
-  std::vector<std::pair<Ipv4Prefix, int>> entries;
-  entries.reserve(static_cast<std::size_t>(n));
+  std::vector<Ipv4Prefix> prefixes;
+  prefixes.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto addr =
         static_cast<bgp::Ipv4Addr>(rng.uniform_int(0, 0xDF000000));
-    entries.emplace_back(
-        Ipv4Prefix{addr,
-                   static_cast<std::uint8_t>(rng.uniform_int(12, 24))},
-        i);
+    prefixes.emplace_back(
+        addr, static_cast<std::uint8_t>(rng.uniform_int(12, 24)));
   }
-  return entries;
+  return prefixes;
 }
 
 // Probes per timed iteration. Sub-50ns lookups drown in per-iteration
-// harness bookkeeping, so every LPM benchmark below times a small batch
-// (identical on both sides of each twin pair, so the reported ratios
-// are probe-for-probe honest); items_per_second is per single lookup.
+// harness bookkeeping, so the benchmark times a small batch;
+// items_per_second is per single lookup.
 constexpr int kLpmProbeBatch = 16;
 
-void BM_TrieLongestMatch(benchmark::State& state) {
-  bgp::PrefixTrie<int> trie;
-  for (const auto& [prefix, value] :
-       lpm_bench_table(static_cast<int>(state.range(0)))) {
-    trie.insert(prefix, value);
-  }
+// The serving read path (16/8 DIR table, src/bgp/flat_lpm.h): leaf_of
+// names the slot, and the value comes from a slot-indexed array, as
+// serve's per-router tables fetch it.
+void BM_LpmIndexLongestMatch(benchmark::State& state) {
+  const bgp::LpmIndex lpm{lpm_bench_table(static_cast<int>(state.range(0)))};
+  std::vector<int> values(lpm.size());
+  std::iota(values.begin(), values.end(), 0);
   bgp::Ipv4Addr probe = 0x0A000000;
   for (auto _ : state) {
     std::uintptr_t acc = 0;
     for (int i = 0; i < kLpmProbeBatch; ++i) {
       probe = probe * 2654435761u + 12345;
-      const auto hit = trie.longest_match(probe);
-      acc += hit ? reinterpret_cast<std::uintptr_t>(hit->second) : 0;
+      const std::uint32_t slot = lpm.leaf_of(probe);
+      acc += slot != bgp::LpmIndex::kNoSlot
+                 ? reinterpret_cast<std::uintptr_t>(&values[slot])
+                 : 0;
     }
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kLpmProbeBatch);
+  state.counters["index_bytes"] = static_cast<double>(lpm.bytes());
 }
-BENCHMARK(BM_TrieLongestMatch)->Arg(10000)->Arg(416000);
-
-// The serving read path (16/8 DIR table, src/bgp/flat_lpm.h) against
-// the trie on the SAME table and the SAME probe sequence — the honest
-// apples-to-apples comparison. The `_Legacy` twin is the trie so the
-// JSON report computes the flat-vs-trie speedup per table size.
-void BM_FlatLpmLongestMatch(benchmark::State& state) {
-  const bgp::FlatLpm<int> lpm{
-      lpm_bench_table(static_cast<int>(state.range(0)))};
-  bgp::Ipv4Addr probe = 0x0A000000;
-  for (auto _ : state) {
-    std::uintptr_t acc = 0;
-    for (int i = 0; i < kLpmProbeBatch; ++i) {
-      probe = probe * 2654435761u + 12345;
-      const auto hit = lpm.longest_match(probe);
-      acc += hit ? reinterpret_cast<std::uintptr_t>(hit->second) : 0;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kLpmProbeBatch);
-  state.counters["index_bytes"] =
-      static_cast<double>(lpm.index().bytes());
-}
-BENCHMARK(BM_FlatLpmLongestMatch)->Arg(10000)->Arg(416000);
-
-void BM_FlatLpmLongestMatch_Legacy(benchmark::State& state) {
-  bgp::PrefixTrie<int> trie;
-  for (const auto& [prefix, value] :
-       lpm_bench_table(static_cast<int>(state.range(0)))) {
-    trie.insert(prefix, value);
-  }
-  bgp::Ipv4Addr probe = 0x0A000000;
-  for (auto _ : state) {
-    std::uintptr_t acc = 0;
-    for (int i = 0; i < kLpmProbeBatch; ++i) {
-      probe = probe * 2654435761u + 12345;
-      const auto hit = trie.longest_match(probe);
-      acc += hit ? reinterpret_cast<std::uintptr_t>(hit->second) : 0;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kLpmProbeBatch);
-}
-BENCHMARK(BM_FlatLpmLongestMatch_Legacy)->Arg(10000)->Arg(416000);
+BENCHMARK(BM_LpmIndexLongestMatch)->Arg(10000)->Arg(416000);
 
 void BM_SchedulerThroughput(benchmark::State& state) {
   std::uint64_t pool_capacity = 0;
@@ -307,10 +187,8 @@ void BM_SchedulerThroughput(benchmark::State& state) {
 BENCHMARK(BM_SchedulerThroughput);
 
 // The trial allocation model in isolation: 1000 PathAttrs blocks built
-// per iteration, then the whole batch torn down at once. The arena path
-// bumps a slab pointer and reuses the same chunks across resets; the
-// legacy twin is the strategy interned attributes used before —
-// one heap allocation (and one free) per block via shared_ptr.
+// per iteration, then the whole batch torn down at once: the arena bumps
+// a slab pointer and reuses the same chunks across resets.
 void BM_ArenaAlloc(benchmark::State& state) {
   sim::Arena arena;
   for (auto _ : state) {
@@ -328,23 +206,6 @@ void BM_ArenaAlloc(benchmark::State& state) {
   state.counters["chunks"] = static_cast<double>(arena.chunk_count());
 }
 BENCHMARK(BM_ArenaAlloc);
-
-void BM_ArenaAlloc_Legacy(benchmark::State& state) {
-  std::vector<std::shared_ptr<const bgp::PathAttrs>> blocks;
-  blocks.reserve(1000);
-  for (auto _ : state) {
-    for (int i = 0; i < 1000; ++i) {
-      auto attrs = std::make_shared<bgp::PathAttrs>();
-      attrs->local_pref = static_cast<std::uint32_t>(i);
-      blocks.push_back(std::move(attrs));
-      benchmark::DoNotOptimize(blocks.back());
-    }
-    blocks.clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1000);
-}
-BENCHMARK(BM_ArenaAlloc_Legacy);
 
 // Observability hot paths: these run inside every update receive /
 // decision / transmit, so the handle dereference + add must stay cheap
@@ -406,15 +267,6 @@ void BM_RouteSetHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteSetHash);
-
-void BM_RouteSetHash_Legacy(benchmark::State& state) {
-  sim::Rng rng{5};
-  const auto routes = make_candidates(10, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bgp::route_set_hash_uncached(routes));
-  }
-}
-BENCHMARK(BM_RouteSetHash_Legacy);
 
 // Wire codec hot paths: Network::send runs one of these per message.
 // The sizer is the per-send cost (cached attr-block lengths, so steady
@@ -504,103 +356,49 @@ BENCHMARK(BM_TestbedConvergence)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // JSON reporting: console output stays the default; --json_out=PATH
-// additionally writes {benchmarks: [...], speedups: [...]} where each
-// speedup pairs a benchmark with its _Legacy twin.
+// additionally writes {benchmarks: [{name, real_time_ns, iterations,
+// counters}]}.
 // ---------------------------------------------------------------------
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
-  struct Row {
-    std::string name;
-    double real_ns = 0;
-    std::int64_t iterations = 0;
-    // User counters (e.g. pool_capacity, bytes_reserved), sorted by name.
-    std::vector<std::pair<std::string, double>> counters;
-  };
+  explicit CapturingReporter(bench::JsonWriter& json) : json_(json) {
+    json_.begin_object();
+    json_.begin_array("benchmarks");
+  }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
-      Row row;
-      row.name = run.benchmark_name();
+      json_.begin_object();
+      json_.field("name", run.benchmark_name());
       // Normalize to nanoseconds regardless of the per-benchmark unit
       // (GetAdjustedRealTime reports in run.time_unit).
-      row.real_ns = run.GetAdjustedRealTime() *
-                    benchmark::GetTimeUnitMultiplier(benchmark::kNanosecond) /
-                    benchmark::GetTimeUnitMultiplier(run.time_unit);
-      row.iterations = run.iterations;
+      json_.field("real_time_ns",
+                  run.GetAdjustedRealTime() *
+                      benchmark::GetTimeUnitMultiplier(benchmark::kNanosecond) /
+                      benchmark::GetTimeUnitMultiplier(run.time_unit));
+      json_.field("iterations", static_cast<std::uint64_t>(run.iterations));
+      // User counters (e.g. pool_capacity, bytes_reserved), by name.
+      json_.begin_object("counters");
       for (const auto& [name, counter] : run.counters) {
-        row.counters.emplace_back(name, counter.value);
+        json_.field(name.c_str(), counter.value);
       }
-      std::sort(row.counters.begin(), row.counters.end());
-      rows_.push_back(std::move(row));
+      json_.end_object();
+      json_.end_object();
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  const std::vector<Row>& rows() const { return rows_; }
+  /// Closes the document and writes it (when a path was given).
+  bool finish() {
+    json_.end_array();
+    json_.end_object();
+    return json_.close();
+  }
 
  private:
-  std::vector<Row> rows_;
+  bench::JsonWriter& json_;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-bool write_json(const std::string& path,
-                const std::vector<CapturingReporter::Row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"real_time_ns\": %.3f, "
-                 "\"iterations\": %lld",
-                 json_escape(rows[i].name).c_str(), rows[i].real_ns,
-                 static_cast<long long>(rows[i].iterations));
-    if (!rows[i].counters.empty()) {
-      std::fprintf(f, ", \"counters\": {");
-      for (std::size_t c = 0; c < rows[i].counters.size(); ++c) {
-        std::fprintf(f, "%s\"%s\": %.3f", c > 0 ? ", " : "",
-                     json_escape(rows[i].counters[c].first).c_str(),
-                     rows[i].counters[c].second);
-      }
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"speedups\": [\n");
-  // Pair "X_Legacy[/args]" rows with their "X[/args]" fast twin.
-  std::vector<std::string> lines;
-  for (const auto& row : rows) {
-    const std::size_t pos = row.name.find("_Legacy");
-    if (pos == std::string::npos) continue;
-    const std::string fast_name =
-        row.name.substr(0, pos) + row.name.substr(pos + 7);
-    for (const auto& fast : rows) {
-      if (fast.name != fast_name || fast.real_ns <= 0) continue;
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "    {\"benchmark\": \"%s\", \"fast_ns\": %.3f, "
-                    "\"legacy_ns\": %.3f, \"speedup\": %.3f}",
-                    json_escape(fast_name).c_str(), fast.real_ns, row.real_ns,
-                    row.real_ns / fast.real_ns);
-      lines.emplace_back(buf);
-    }
-  }
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::fprintf(f, "%s%s\n", lines[i].c_str(),
-                 i + 1 < lines.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
 
 }  // namespace
 
@@ -609,7 +407,7 @@ int main(int argc, char** argv) {
   // --benchmark_* passes through to google-benchmark untouched.
   std::string json_path;
   abrr::runner::ArgParser parser{"micro_bench"};
-  parser.add("json_out", "write fast-vs-legacy ratio report here",
+  parser.add("json_out", "write a JSON report of every benchmark here",
              &json_path);
   parser.allow_prefix("--benchmark_");
   parser.parse(argc, argv);
@@ -625,12 +423,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
     return 1;
   }
-  CapturingReporter reporter;
+  abrr::bench::JsonWriter json{json_path};
+  CapturingReporter reporter{json};
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty() && !write_json(json_path, reporter.rows())) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-  return 0;
+  return reporter.finish() ? 0 : 1;
 }

@@ -118,7 +118,7 @@ check_fresh "$bench_bin"
 
 # Preflight: the allocation-path tests (arena, scheduler event pool,
 # interner trial scope) guard the machinery these benches measure, the
-# wire suite guards the measured byte columns the reports now carry,
+# wire suite guards the measured byte columns the reports carry,
 # the serve suite guards the snapshot/LPM read path the serving trial
 # times, and the frontend suite guards the ABRR-Q protocol the TCP
 # sweep drives — refuse to publish numbers from a build where any
@@ -136,7 +136,6 @@ out="$out_dir/BENCH_micro.json"
   --benchmark_min_time=0.2 \
   --json_out="$out" \
   "$@"
-echo "wrote $out"
 
 if [[ "${ABRR_SKIP_FAULT_BENCH:-0}" != "1" ]]; then
   fault_bin="$build_dir/bench/fault_resilience"

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
 
   struct Result {
     double tx_per_rr_sec = 0;
-    double bytes_per_rr_sec = 0;
     double wire_bytes_per_rr_sec = 0;
     double routes_per_update = 0;
     double generated_per_rr = 0;
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
     }
     const auto rr = bed.rr_counters();
     r.tx_per_rr_sec = rr.avg_transmitted() / cfg.trace_seconds;
-    r.bytes_per_rr_sec = rr.avg_bytes() / cfg.trace_seconds;
     r.wire_bytes_per_rr_sec = rr.avg_wire_bytes() / cfg.trace_seconds;
     r.routes_per_update =
         updates ? static_cast<double>(routes) / updates : 0;
@@ -90,26 +88,23 @@ int main(int argc, char** argv) {
   const Result abrr = run(ibgp::IbgpMode::kAbrr);
   const Result tbrr = run(ibgp::IbgpMode::kTbrr);
 
-  // tx-bytes is the legacy closed-form estimate; wire-bytes is the
-  // measured RFC 4271 length of every transmitted message.
-  std::printf("%-8s %16s %15s %15s %14s %13s %10s\n", "scheme",
-              "tx-updates/RR/s", "tx-bytes/RR/s", "wire-bytes/RR/s",
-              "routes/update", "generated/RR", "peers/RR");
-  std::printf("%-8s %16.1f %15.0f %15.0f %14.2f %13.0f %10.0f\n", "ABRR",
-              abrr.tx_per_rr_sec, abrr.bytes_per_rr_sec,
-              abrr.wire_bytes_per_rr_sec, abrr.routes_per_update,
-              abrr.generated_per_rr, abrr.peers_per_rr);
-  std::printf("%-8s %16.1f %15.0f %15.0f %14.2f %13.0f %10.0f\n", "TBRR",
-              tbrr.tx_per_rr_sec, tbrr.bytes_per_rr_sec,
-              tbrr.wire_bytes_per_rr_sec, tbrr.routes_per_update,
-              tbrr.generated_per_rr, tbrr.peers_per_rr);
+  // wire-bytes is the RFC 4271 length of every transmitted message.
+  std::printf("%-8s %16s %15s %14s %13s %10s\n", "scheme",
+              "tx-updates/RR/s", "wire-bytes/RR/s", "routes/update",
+              "generated/RR", "peers/RR");
+  std::printf("%-8s %16.1f %15.0f %14.2f %13.0f %10.0f\n", "ABRR",
+              abrr.tx_per_rr_sec, abrr.wire_bytes_per_rr_sec,
+              abrr.routes_per_update, abrr.generated_per_rr,
+              abrr.peers_per_rr);
+  std::printf("%-8s %16.1f %15.0f %14.2f %13.0f %10.0f\n", "TBRR",
+              tbrr.tx_per_rr_sec, tbrr.wire_bytes_per_rr_sec,
+              tbrr.routes_per_update, tbrr.generated_per_rr,
+              tbrr.peers_per_rr);
   std::printf("\n# measured at this scale (%zu clients):\n",
               topology.clients.size());
   std::printf("#   TRR/ARR transmitted-updates ratio: %.2fx (paper ~2.5x)\n",
               tbrr.tx_per_rr_sec / abrr.tx_per_rr_sec);
-  std::printf("#   ARR/TRR transmitted-bytes ratio:  %.2fx (paper ~4x)\n",
-              abrr.bytes_per_rr_sec / tbrr.bytes_per_rr_sec);
-  std::printf("#   ARR/TRR wire-bytes ratio:         %.2fx (measured)\n",
+  std::printf("#   ARR/TRR wire-bytes ratio:         %.2fx (paper ~4x)\n",
               abrr.wire_bytes_per_rr_sec / tbrr.wire_bytes_per_rr_sec);
   std::printf("#   ABRR routes per update: %.1f (paper ~10.2)\n",
               abrr.routes_per_update);

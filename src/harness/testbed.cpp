@@ -339,7 +339,6 @@ void Testbed::reset_counters() {
   for (const auto& [id, speaker] : speakers_) {
     baseline_[id] = speaker->counters();
   }
-  counter_baseline_ = obs_->metrics().counter_snapshot();
 }
 
 ibgp::SpeakerCounters Testbed::delta_counters(RouterId id) const {
@@ -353,7 +352,6 @@ ibgp::SpeakerCounters Testbed::delta_counters(RouterId id) const {
   now.generated_to_clients -= base.generated_to_clients;
   now.generated_to_rrs -= base.generated_to_rrs;
   now.updates_transmitted -= base.updates_transmitted;
-  now.bytes_transmitted -= base.bytes_transmitted;
   now.wire_bytes_transmitted -= base.wire_bytes_transmitted;
   now.routes_transmitted -= base.routes_transmitted;
   now.loops_suppressed -= base.loops_suppressed;
@@ -406,31 +404,23 @@ Aggregate Testbed::rr_rib_out() const {
   return aggregate(v);
 }
 
-RoleTotals Testbed::role_totals(const obs::Labels& filter,
-                                std::size_t speakers) const {
-  const auto& m = obs_->metrics();
-  const obs::CounterSnapshot* base =
-      counter_baseline_.empty() ? nullptr : &counter_baseline_;
+RoleTotals Testbed::role_totals(std::span<const RouterId> ids) const {
   RoleTotals t;
-  t.received = m.sum_counters("speaker.updates_received", filter, base);
-  t.generated = m.sum_counters("speaker.updates_generated", filter, base);
-  t.transmitted = m.sum_counters("speaker.updates_transmitted", filter, base);
-  t.bytes = m.sum_counters("speaker.bytes_transmitted", filter, base);
-  t.wire_bytes =
-      m.sum_counters("speaker.wire_bytes_transmitted", filter, base);
-  t.speakers = speakers;
+  for (const RouterId id : ids) {
+    const ibgp::SpeakerCounters c = delta_counters(id);
+    t.received += c.updates_received;
+    t.generated += c.updates_generated;
+    t.transmitted += c.updates_transmitted;
+    t.wire_bytes += c.wire_bytes_transmitted;
+  }
+  t.speakers = ids.size();
   return t;
 }
 
-RoleTotals Testbed::rr_counters() const {
-  return role_totals(obs::Labels{{"role", "rr"}}, rr_ids_.size());
-}
+RoleTotals Testbed::rr_counters() const { return role_totals(rr_ids_); }
 
 RoleTotals Testbed::client_counters() const {
-  // Every data-plane client carries role=client (RR boxes are pure
-  // control plane in this harness), so the label filter matches
-  // client_ids_ exactly.
-  return role_totals(obs::Labels{{"role", "client"}}, client_ids_.size());
+  return role_totals(client_ids_);
 }
 
 }  // namespace abrr::harness

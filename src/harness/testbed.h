@@ -33,16 +33,13 @@ struct Aggregate {
   double avg = 0;
 };
 
-/// Counter sums used by Figure 7 and §4.2, computed by label-filtered
-/// sums over the shared metrics registry (minus the reset_counters()
-/// snapshot) — the registry cells are the single source of truth; there
-/// is no parallel per-speaker accumulation path anymore.
+/// Counter sums used by Figure 7 and §4.2: the delta_counters() of
+/// every speaker in one role, summed.
 struct RoleTotals {
   std::uint64_t received = 0;
   std::uint64_t generated = 0;
   std::uint64_t transmitted = 0;
-  std::uint64_t bytes = 0;       // modeled estimate (legacy column)
-  std::uint64_t wire_bytes = 0;  // measured RFC 4271 encoded lengths
+  std::uint64_t wire_bytes = 0;  // RFC 4271 encoded lengths
   std::size_t speakers = 0;
 
   double avg_received() const {
@@ -53,9 +50,6 @@ struct RoleTotals {
   }
   double avg_transmitted() const {
     return speakers ? static_cast<double>(transmitted) / speakers : 0;
-  }
-  double avg_bytes() const {
-    return speakers ? static_cast<double>(bytes) / speakers : 0;
   }
   double avg_wire_bytes() const {
     return speakers ? static_cast<double>(wire_bytes) / speakers : 0;
@@ -167,8 +161,7 @@ class Testbed {
   /// Registers the sampler's gauges and its refresh callback, then takes
   /// the first sample (obs-enabled testbeds only).
   void start_sampler();
-  RoleTotals role_totals(const obs::Labels& filter,
-                         std::size_t speakers) const;
+  RoleTotals role_totals(std::span<const RouterId> ids) const;
 
   topo::Topology topology_;
   TestbedConfig config_;
@@ -190,10 +183,8 @@ class Testbed {
   std::unordered_map<RouterId, ibgp::ApId> arr_ap_;
   core::ArrDirectory arr_directory_;
 
-  // Counter snapshots for reset_counters(): a per-speaker view baseline
-  // (delta_counters) and the dense registry snapshot (role_totals).
+  // Per-speaker counter snapshots taken by reset_counters().
   std::unordered_map<RouterId, ibgp::SpeakerCounters> baseline_;
-  obs::CounterSnapshot counter_baseline_;
 
  public:
   /// Counters minus the last reset_counters() snapshot.

@@ -10,14 +10,12 @@ void Network::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_messages_ = nullptr;
     m_bytes_ = nullptr;
-    m_modeled_bytes_ = nullptr;
     m_dropped_ = nullptr;
     m_msg_bytes_ = nullptr;
     return;
   }
   m_messages_ = metrics->counter("net.messages");
   m_bytes_ = metrics->counter("net.bytes");
-  m_modeled_bytes_ = metrics->counter("net.modeled_bytes");
   m_dropped_ = metrics->counter("net.dropped");
   m_msg_bytes_ = metrics->histogram("net.msg_bytes", obs::size_buckets());
 }
@@ -114,17 +112,13 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
   }
 
   const std::uint64_t wire = sizer_.message_size(msg);
-  const std::uint64_t modeled = msg.wire_size();
   ++ch.messages;
-  ch.bytes += modeled;
   ch.wire_bytes += wire;
   ++total_messages_;
   total_bytes_ += wire;
-  total_modeled_bytes_ += modeled;
   if (m_messages_ != nullptr) {
     m_messages_->inc();
     m_bytes_->inc(wire);
-    m_modeled_bytes_->inc(modeled);
     m_msg_bytes_->record(static_cast<double>(wire));
   }
   if (tracer_ != nullptr && tracer_->packets() != nullptr) {

@@ -99,11 +99,9 @@ class Network {
   /// Aggregate counters. total_bytes() is measured: the sum of the
   /// exact RFC 4271 encoded lengths each message occupies on the wire
   /// (wire::WireSizer, O(1) per message after the first encode of an
-  /// interned attribute block). total_modeled_bytes() keeps the legacy
-  /// closed-form estimate for modeled-vs-measured comparison.
+  /// interned attribute block).
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t total_modeled_bytes() const { return total_modeled_bytes_; }
   /// Messages dropped by fault hooks (loss, dead endpoints, resets).
   std::uint64_t total_dropped() const { return total_dropped_; }
 
@@ -139,7 +137,6 @@ class Network {
   std::unordered_set<RouterId> down_endpoints_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::uint64_t total_modeled_bytes_ = 0;
   std::uint64_t total_dropped_ = 0;
 
   // Exact-size oracle; safe to cache per attrs pointer because the
@@ -151,7 +148,6 @@ class Network {
   // Optional observability handles (null when not attached).
   obs::Counter* m_messages_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_modeled_bytes_ = nullptr;
   obs::Counter* m_dropped_ = nullptr;
   obs::Histogram* m_msg_bytes_ = nullptr;
   obs::Tracer* tracer_ = nullptr;

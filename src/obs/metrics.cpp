@@ -282,25 +282,15 @@ std::size_t MetricsRegistry::name_count() const {
   return names.size();
 }
 
-CounterSnapshot MetricsRegistry::counter_snapshot() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  CounterSnapshot snap;
-  snap.reserve(counters_.size());
-  for (const Counter& c : counters_) snap.push_back(c.value());
-  return snap;
-}
-
-std::uint64_t MetricsRegistry::sum_counters(
-    std::string_view name, const Labels& filter,
-    const CounterSnapshot* baseline) const {
+std::uint64_t MetricsRegistry::sum_counters(std::string_view name,
+                                            const Labels& filter) const {
   const std::lock_guard<std::mutex> lock{mutex_};
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     const MetricInfo& info = counter_info_[i];
-    if (info.name != name || !info.labels.contains(filter)) continue;
-    std::uint64_t v = counters_[i].value();
-    if (baseline != nullptr && i < baseline->size()) v -= (*baseline)[i];
-    total += v;
+    if (info.name == name && info.labels.contains(filter)) {
+      total += counters_[i].value();
+    }
   }
   return total;
 }

@@ -169,10 +169,6 @@ struct MetricInfo {
   Labels labels;
 };
 
-/// Dense snapshot of every counter cell in registration order. Cells
-/// registered after the snapshot read as 0 (implicit baseline).
-using CounterSnapshot = std::vector<std::uint64_t>;
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -195,13 +191,9 @@ class MetricsRegistry {
   /// Distinct metric names across all three kinds.
   std::size_t name_count() const;
 
-  CounterSnapshot counter_snapshot() const;
-
-  /// Sum of every counter named `name` whose labels contain `filter`,
-  /// minus the same cells' values in `baseline` (when given).
+  /// Sum of every counter named `name` whose labels contain `filter`.
   std::uint64_t sum_counters(std::string_view name,
-                             const Labels& filter = {},
-                             const CounterSnapshot* baseline = nullptr) const;
+                             const Labels& filter = {}) const;
   /// Bucket-wise merge of every histogram named `name` whose labels
   /// contain `filter` (an empty, shapeless Histogram when none match).
   Histogram merge_histograms(std::string_view name,

@@ -152,7 +152,7 @@ std::vector<std::uint8_t> PacketCapture::to_pcap() const {
     put16be(out, 179);
     put16be(out, 179);
     put32be(out, f.seq);
-    put32be(out, 1);      // ack (synthetic; no reverse stream is modeled)
+    put32be(out, 1);      // ack (synthetic; no reverse stream is simulated)
     out.push_back(0x50);  // data offset 5 words
     out.push_back(0x18);  // PSH|ACK
     put16be(out, 65535);  // window

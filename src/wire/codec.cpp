@@ -518,7 +518,7 @@ std::optional<DecodeError> decode_path_attrs(std::span<const std::uint8_t> in,
                            kUnrecognizedWellKnownAttribute, attr_at,
                            "unknown well-known attribute"};
       }
-      c.pos += len;  // unknown optional: skip (transit not modeled)
+      c.pos += len;  // unknown optional: skip (transit not simulated)
       continue;
     }
     if (static_cast<bool>(flags & kFlagOptional) != spec->optional_ ||

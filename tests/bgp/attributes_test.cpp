@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/route.h"
+#include "wire/codec.h"
 
 namespace abrr::bgp {
 namespace {
@@ -45,7 +46,9 @@ TEST(PathAttrs, WireSizeGrowsWithContent) {
   big.med = 10;
   big.cluster_list = {1, 2, 3};
   big.ext_communities = {kAbrrReflectedCommunity};
-  EXPECT_GT(big.wire_size(), small.wire_size());
+  wire::WireSizer sizer;
+  EXPECT_GT(sizer.attrs_size(make_attrs(big)),
+            sizer.attrs_size(make_attrs(small)));
 }
 
 TEST(PathAttrs, WithAttrsCopiesOnWrite) {

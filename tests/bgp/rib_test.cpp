@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wire/codec.h"
+
 namespace abrr::bgp {
 namespace {
 
@@ -169,9 +171,10 @@ TEST(UpdateMessage, WireSizeScalesWithRoutes) {
   one.announce = {mk(kP1, 5, 1, 100)};
   UpdateMessage ten = one;
   for (PathId i = 2; i <= 10; ++i) ten.announce.push_back(mk(kP1, 5, i, 100));
-  // An update carrying 10 routes is roughly 10x longer (§4.2).
-  EXPECT_GT(ten.wire_size(), 5 * one.wire_size());
-  EXPECT_LT(ten.wire_size(), 15 * one.wire_size());
+  // An update carrying 10 routes is roughly 10x longer on the wire (§4.2).
+  wire::WireSizer sizer;
+  EXPECT_GT(sizer.message_size(ten), 5 * sizer.message_size(one));
+  EXPECT_LT(sizer.message_size(ten), 15 * sizer.message_size(one));
 }
 
 }  // namespace

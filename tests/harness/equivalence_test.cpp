@@ -71,7 +71,7 @@ std::string fingerprint(const Testbed& bed, const ibgp::Speaker& sp) {
   os << "recv=" << c.updates_received << '/' << c.routes_received
      << " gen=" << c.updates_generated << '/' << c.generated_to_clients << '/'
      << c.generated_to_rrs << " tx=" << c.updates_transmitted << '/'
-     << c.routes_transmitted << '/' << c.bytes_transmitted
+     << c.routes_transmitted << '/' << c.wire_bytes_transmitted
      << " loops=" << c.loops_suppressed << " misdir=" << c.misdirected
      << " ebgp=" << c.ebgp_updates_sent << " best=" << c.best_changes
      << " ribin=" << sp.rib_in_size() << " ribout=" << sp.rib_out_size()

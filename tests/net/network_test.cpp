@@ -78,15 +78,12 @@ TEST_F(NetworkTest, CountsMessagesAndBytes) {
   net.send(1, 2, m);
   sched.run_to_quiescence();
   EXPECT_EQ(net.total_messages(), 2u);
-  // total_bytes() is measured (exact RFC 4271 encoding); the legacy
-  // closed-form estimate moves to total_modeled_bytes().
-  EXPECT_EQ(net.total_modeled_bytes(), 2 * m.wire_size());
+  // total_bytes() is the exact RFC 4271 encoding of every message.
   EXPECT_EQ(net.total_bytes(), 2 * net.wire_size(m));
   EXPECT_GT(net.total_bytes(), 0u);
   const ChannelState* ch = net.channel(1, 2);
   ASSERT_NE(ch, nullptr);
   EXPECT_EQ(ch->messages, 2u);
-  EXPECT_EQ(ch->bytes, 2 * m.wire_size());
   EXPECT_EQ(ch->wire_bytes, net.total_bytes());
   EXPECT_EQ(net.channel(2, 1)->messages, 0u);
   // One interned attribute block -> one cached size.

@@ -1,9 +1,8 @@
-// Transition test for the SpeakerCounters -> registry migration: the
-// registry-backed role totals (Testbed::rr_counters/client_counters)
-// must equal manual sums over the per-speaker counter views, both raw
-// and after a reset_counters() baseline. This pins the label wiring
-// (role=rr|client per speaker) to the id-list partition the old
-// CounterTotals aggregation path summed over.
+// Role totals (Testbed::rr_counters/client_counters) must equal manual
+// sums over the per-speaker counter views, both raw and after a
+// reset_counters() baseline, and before any reset they must equal the
+// registry's role-label-filtered sums. This pins the label wiring
+// (role=rr|client per speaker) to the rr_ids/client_ids partition.
 #include <gtest/gtest.h>
 
 #include "harness/testbed.h"
@@ -48,7 +47,7 @@ harness::RoleTotals manual_totals(harness::Testbed& bed,
     t.received += c.updates_received;
     t.generated += c.updates_generated;
     t.transmitted += c.updates_transmitted;
-    t.bytes += c.bytes_transmitted;
+    t.wire_bytes += c.wire_bytes_transmitted;
   }
   t.speakers = ids.size();
   return t;
@@ -62,9 +61,24 @@ harness::RoleTotals manual_deltas(harness::Testbed& bed,
     t.received += c.updates_received;
     t.generated += c.updates_generated;
     t.transmitted += c.updates_transmitted;
-    t.bytes += c.bytes_transmitted;
+    t.wire_bytes += c.wire_bytes_transmitted;
   }
   t.speakers = ids.size();
+  return t;
+}
+
+/// The same totals read straight from the registry cells labelled
+/// role=`role`.
+harness::RoleTotals registry_totals(harness::Testbed& bed, const char* role,
+                                    std::size_t speakers) {
+  const obs::Labels filter{{"role", role}};
+  const obs::MetricsRegistry& m = bed.metrics();
+  harness::RoleTotals t;
+  t.received = m.sum_counters("speaker.updates_received", filter);
+  t.generated = m.sum_counters("speaker.updates_generated", filter);
+  t.transmitted = m.sum_counters("speaker.updates_transmitted", filter);
+  t.wire_bytes = m.sum_counters("speaker.wire_bytes_transmitted", filter);
+  t.speakers = speakers;
   return t;
 }
 
@@ -72,7 +86,7 @@ void expect_equal(const harness::RoleTotals& a, const harness::RoleTotals& b) {
   EXPECT_EQ(a.received, b.received);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.transmitted, b.transmitted);
-  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
   EXPECT_EQ(a.speakers, b.speakers);
 }
 
@@ -101,6 +115,10 @@ TEST(CountersMigration, RegistryTotalsMatchManualSums) {
     expect_equal(bed.rr_counters(), manual_totals(bed, bed.rr_ids()));
     expect_equal(bed.client_counters(),
                  manual_totals(bed, bed.client_ids()));
+    expect_equal(bed.rr_counters(),
+                 registry_totals(bed, "rr", bed.rr_ids().size()));
+    expect_equal(bed.client_counters(),
+                 registry_totals(bed, "client", bed.client_ids().size()));
     // Totals are non-trivial, not vacuously equal zeros.
     EXPECT_GT(bed.rr_counters().transmitted, 0u);
     EXPECT_GT(bed.client_counters().received, 0u);

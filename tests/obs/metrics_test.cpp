@@ -113,7 +113,7 @@ TEST(Histogram, QuantilePicksCorrectBucket) {
   EXPECT_DOUBLE_EQ(h->quantile(0.95), 25.0);  // clamped to max
 }
 
-TEST(MetricsRegistry, SumCountersFiltersAndBaselines) {
+TEST(MetricsRegistry, SumCountersFiltersByLabels) {
   MetricsRegistry r;
   Counter* rr1 = r.counter("tx", Labels{{"speaker", "1"}, {"role", "rr"}});
   Counter* rr2 = r.counter("tx", Labels{{"speaker", "2"}, {"role", "rr"}});
@@ -125,21 +125,6 @@ TEST(MetricsRegistry, SumCountersFiltersAndBaselines) {
   EXPECT_EQ(r.sum_counters("tx", Labels{{"role", "rr"}}), 12u);
   EXPECT_EQ(r.sum_counters("tx", Labels{{"role", "client"}}), 100u);
   EXPECT_EQ(r.sum_counters("nope"), 0u);
-
-  const CounterSnapshot base = r.counter_snapshot();
-  rr1->inc(3);
-  EXPECT_EQ(r.sum_counters("tx", Labels{{"role", "rr"}}, &base), 3u);
-  EXPECT_EQ(r.sum_counters("tx", Labels{{"role", "client"}}, &base), 0u);
-}
-
-TEST(MetricsRegistry, BaselineTreatsLaterCellsAsZero) {
-  MetricsRegistry r;
-  r.counter("a")->inc(4);
-  const CounterSnapshot base = r.counter_snapshot();
-  Counter* later = r.counter("b");  // registered after the snapshot
-  later->inc(6);
-  EXPECT_EQ(r.sum_counters("b", Labels{}, &base), 6u);
-  EXPECT_EQ(r.sum_counters("a", Labels{}, &base), 0u);
 }
 
 TEST(MetricsRegistry, JsonDumpContainsQuantilesAndGauges) {

@@ -238,10 +238,10 @@ TEST_P(AllModesWire, CapturedAdvertisementsRoundTrip) {
   EXPECT_EQ(cap->payload_bytes(), bed.network().total_bytes());
   EXPECT_EQ(bed.metrics().sum_counters("net.bytes"),
             bed.network().total_bytes());
-  EXPECT_EQ(bed.metrics().sum_counters("net.modeled_bytes"),
-            bed.network().total_modeled_bytes());
-  // Wire-faithful accounting diverges from the closed-form model -- that
-  // delta is the point of measuring (EXPERIMENTS.md records it).
+  // Every byte the network carried was sent by a speaker, which counts
+  // it with the same sizer.
+  EXPECT_EQ(bed.metrics().sum_counters("speaker.wire_bytes_transmitted"),
+            bed.network().total_bytes());
   EXPECT_NE(bed.network().total_bytes(), 0u);
 }
 
